@@ -9,6 +9,7 @@ simulation harness (`harness`), and brute-force self-checks (`oracle`).
 """
 
 from .clutter import (
+    ClutterCache,
     CompositeClutter,
     ClutterSource,
     IidClusterClutter,
@@ -53,6 +54,7 @@ from .measmodel import ExtendedTargetModel, PointTargetModel
 __all__ = [
     "AssociationProblem",
     "BernoulliTree",
+    "ClutterCache",
     "CompositeClutter",
     "ClutterSource",
     "ConfigurationError",

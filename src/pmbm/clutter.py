@@ -262,9 +262,6 @@ class ClutterSource:
         chol = np.linalg.cholesky(self.cov)
         return self.location + rng.standard_normal((count, self.location.size)) @ chol.T
 
-    def sample_scan(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample(rng)
-
 
 @dataclass(frozen=True)
 class CompositeClutter:
@@ -327,6 +324,27 @@ class CompositeClutter:
         parts = [self.ppp.sample(rng)]
         parts += [s.sample(rng) for s in self.sources]
         return np.concatenate(parts, axis=0)
+
+
+class ClutterCache:
+    """Memoized ``log c(Z[cell])`` for one clutter model on one scan.
+
+    ``cell`` is a sorted tuple of measurement indices into ``Z``.  Each
+    distinct cell is evaluated once, so ``log_density`` must be a
+    deterministic function of the measurement set.
+    """
+
+    def __init__(self, clutter, Z: np.ndarray):
+        self.clutter = clutter
+        self.Z = Z
+        self._memo: dict[tuple, float] = {}
+
+    def __call__(self, cell: tuple) -> float:
+        out = self._memo.get(cell)
+        if out is None:
+            out = float(self.clutter.log_density(self.Z[list(cell)]))
+            self._memo[cell] = out
+        return out
 
 
 def composite_clutter_density(c: CompositeClutter, Z) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .clutter import CompositeClutter, PoissonClutter
+from .clutter import ClutterCache, CompositeClutter, PoissonClutter
 from .densities import (
     GaussianDensity,
     GaussianMixture,
@@ -178,7 +178,11 @@ def _subset_partitions(items: tuple):
 
 
 class _UpdateWorkspace:
-    """Per-scan caches shared across predicted global hypotheses."""
+    """Per-scan caches shared across predicted global hypotheses.
+
+    ``src[s]`` is the scan's only evaluator of clutter source s; every
+    reader of c_s(cell) goes through it.
+    """
 
     def __init__(self, d, Z, model, sources, ppp_c, cfg, k):
         self.d = d
@@ -198,7 +202,7 @@ class _UpdateWorkspace:
         self._miss = {}
         self._rows = {}
         self._det = {}
-        self._src = {}
+        self.src = [ClutterCache(c, Z) for c in sources]
         self._own = {}
         self._ppp_comps = [
             (lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF
@@ -268,20 +272,6 @@ class _UpdateWorkspace:
                 fac = math.log(h.r) + ll if ll > NEG_INF and h.r > 0 else NEG_INF
                 out = (fac, post)
             self._det[key] = out
-        return out
-
-    def src_info(self, s, cell):
-        """Clutter-source set-density factor for source s and cell (tuple).
-
-        Independent of the parent hypothesis: the factor is c_s of the
-        assigned subset alone.
-        """
-        key = (s, cell)
-        out = self._src.get(key)
-        if out is None:
-            subset = self.Z[list(cell)] if cell else self.Z[:0]
-            out = float(self.sources[s].log_density(subset))
-            self._src[key] = out
         return out
 
     # -- new tracks from the PPP intensity --------------------------------
@@ -368,7 +358,7 @@ def _enumerate_labelings(ws, g):
             ]
         base = 0.0
         for s in range(n_src):
-            base += ws.src_info(s, tuple(src_cells[s]))
+            base += ws.src[s](tuple(src_cells[s]))
             if base == NEG_INF:
                 return
         cells_t = []
@@ -438,7 +428,7 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
         if g.log_w == NEG_INF:
             continue
         if m == 0:
-            base = sum(ws.src_info(s, ()) for s in range(n_src))
+            base = sum(cache(()) for cache in ws.src)
             for i in range(n):
                 base += ws.miss_info(i, g.berns[i])[0]
             assoc.append((g_idx, ((),) * n_src, ((),) * n, (), g.log_w + base))
@@ -499,7 +489,8 @@ def _gibbs_associations(ws, g, g_idx, n_src, seed):
         w = ws.own_entry((j,))[0]
         if w > NEG_INF:
             eta[j, n + j] = w
-    problem = AssociationProblem(eta, ws.sources[0] if n_src else None, ws.Z, n)
+    clutter, cache = (ws.sources[0], ws.src[0]) if n_src else (None, None)
+    problem = AssociationProblem(eta, clutter, ws.Z, n, cache)
     w_norm = math.exp(min(g.log_w, 0.0))
     sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, ws.k, g_idx))))
@@ -588,7 +579,7 @@ def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
         if idx is not None:
             return idx
         parent = ctrees[s].hyps[a]
-        fac = ws.src_info(s, cell)
+        fac = ws.src[s](cell)
         pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell}
         hyp = ClutterLocalHypothesis(parent.log_w + fac, pairs, a)
         upd_ctrees[s].hyps.append(hyp)

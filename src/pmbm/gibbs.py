@@ -12,6 +12,14 @@ else).  When the problem has no clutter column at all (``clutter=None``,
 the merged parameterization where the PPP clutter intensity is folded into
 the new-track weights) the value 0 simply has zero mass and the sampler
 starts from the all-new-track vector instead of all-zero.
+
+Both engines and the final weights read the clutter set density through one
+``ClutterCache``, keyed by the sorted tuple of measurement indices left to
+clutter.  The filter update shares one cache per scan across all predicted
+global hypotheses, so ``log_density`` must be a deterministic function of
+the measurement set; it is evaluated at most once per distinct subset per
+scan.  Clutter models with a count table (``IidClusterClutter``) skip the
+set density while sampling and read only the table.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .clutter import IidClusterClutter
+from .clutter import ClutterCache, IidClusterClutter
 from .errors import ConfigurationError, NumericalError, SizeLimitError
 from .hypotheses import count_hypotheses
 
@@ -44,12 +52,19 @@ class AssociationProblem:
     ``log_eta`` has shape (m, n+m): columns 0..n-1 are detection/miss weight
     ratios of the predicted Bernoullis, column n+j is the new-track weight
     of measurement j (only finite on its own row).
+
+    Clutter set densities are read through ``cache``, a ``ClutterCache`` of
+    ``clutter`` on ``Z``.  The filter update passes the one it shares across
+    the scan's predicted global hypotheses; left as None, a problem built
+    on its own gets a fresh cache.  Either way ``clutter.log_density`` is
+    called at most once per distinct clutter subset.
     """
 
     log_eta: np.ndarray
     clutter: object | None
     Z: np.ndarray
     n: int
+    cache: ClutterCache | None = None
 
     def __post_init__(self):
         self.log_eta = np.asarray(self.log_eta, dtype=float)
@@ -61,6 +76,12 @@ class AssociationProblem:
             raise ConfigurationError(
                 f"eta table must have shape ({m}, {self.n + m}), got {self.log_eta.shape}"
             )
+        if self.cache is not None and (
+            self.cache.clutter is not self.clutter or not np.array_equal(self.cache.Z, self.Z)
+        ):
+            raise ConfigurationError("clutter cache belongs to another clutter model or scan")
+        if self.cache is None and self.clutter is not None:
+            self.cache = ClutterCache(self.clutter, self.Z)
         self._eta_rows = self.log_eta.tolist()
         self._fast = None
         if isinstance(self.clutter, IidClusterClutter):
@@ -77,10 +98,15 @@ class AssociationProblem:
     def m(self) -> int:
         return self.Z.shape[0]
 
-    def _clutter_log_density(self, idx) -> float:
+    def _clutter_log_density(self, idx: tuple) -> float:
         if self.clutter is None:
-            return 0.0 if not len(idx) else NEG_INF
-        return float(self.clutter.log_density(self.Z[list(idx)]))
+            return 0.0 if not idx else NEG_INF
+        return self.cache(idx)
+
+    def _clutter_without_with(self, gamma, q: int) -> tuple:
+        """log c of the clutter set of ``gamma`` without and with q."""
+        others = tuple(j for j in range(self.m) if j != q and gamma[j] == 0)
+        return self.cache(others), self.cache(tuple(sorted(others + (q,))))
 
 
 def _in_gamma(gamma) -> bool:
@@ -111,7 +137,7 @@ def assoc_log_weight(p: AssociationProblem, gamma) -> float:
             total += p._eta_rows[j][v - 1]
             if total == NEG_INF:
                 return NEG_INF
-    return total + p._clutter_log_density(clutter_idx)
+    return total + p._clutter_log_density(tuple(clutter_idx))
 
 
 def _conditional_candidates(p: AssociationProblem, gamma, q: int):
@@ -135,10 +161,9 @@ def _conditional_candidates(p: AssociationProblem, gamma, q: int):
             values.append(0)
             logws.append(table[mc + 1] if inside[q] else NEG_INF)
         else:
-            others = [j for j in range(m) if j != q and gamma[j] == 0]
-            base = p._clutter_log_density(others)
+            base, with_q = p._clutter_without_with(gamma, q)
             values.append(0)
-            logws.append(p._clutter_log_density(sorted(others + [q])))
+            logws.append(with_q)
     else:
         base = 0.0
     for v in range(1, p.n + 1):
@@ -234,9 +259,7 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
                         vals.append(0)
                         lws.append(table[mc + 1])
                 else:
-                    others = [j for j in range(m) if j != q and gamma[j] == 0]
-                    base = p._clutter_log_density(others)
-                    with_q = p._clutter_log_density(sorted(others + [q]))
+                    base, with_q = p._clutter_without_with(gamma, q)
                     if with_q > NEG_INF:
                         vals.append(0)
                         lws.append(with_q)

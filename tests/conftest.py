@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,24 @@ def cv_motion():
     F1 = np.array([[1.0, 1.0], [0.0, 1.0]])
     Q1 = 0.01 * np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
     return LinearGaussianMotion(np.kron(np.eye(2), F1), np.kron(np.eye(2), Q1), 0.99)
+
+
+class CountingClutter:
+    """Delegates to ``inner`` and counts evaluations per measurement set."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def log_density(self, Z):
+        self.calls[np.asarray(Z).tobytes()] += 1
+        return self.inner.log_density(Z)
+
+    def log_empty(self):
+        return self.inner.log_empty()
+
+
+@pytest.fixture
+def counting_clutter():
+    """Wrapper class that counts ``log_density`` calls per measurement set."""
+    return CountingClutter

@@ -263,6 +263,64 @@ class TestUpdateMergedAndComposite:
         assert rs and all(0.0 < r < 1.0 for r in rs)
 
 
+def _cached_clutter_case(regime, region, counting_clutter):
+    """(unwrapped clutter, wrapped clutter, counter) for one regime whose
+    sampler takes the general branch: no count table."""
+    if regime == "composite":
+        src = ClutterSource((100.0, 200.0), 0.9, 3.0, 25.0 * np.eye(2))
+        counter = counting_clutter(src)
+        plain = CompositeClutter(PoissonClutter(2.0, region), (src,))
+        wrapped = CompositeClutter(plain.ppp, (counter,))
+    else:
+        plain = PoissonClutter(4.0, region)
+        counter = wrapped = counting_clutter(plain)
+    return plain, wrapped, counter
+
+
+class TestClutterCache:
+    @pytest.mark.parametrize("regime", ["composite", "arbitrary"])
+    def test_each_subset_evaluated_once_per_update(
+        self, regime, region, pos_sensor, cv_motion, counting_clutter, monkeypatch
+    ):
+        from pmbm import filtering
+
+        plain, wrapped, counter = _cached_clutter_case(regime, region, counting_clutter)
+        model = PointTargetModel(pos_sensor)
+        birth = GaussianMixture(
+            [math.log(3.0)],
+            [GaussianDensity(np.array([150.0, 0.0, 150.0, 0.0]), np.diag([2500.0, 1.0, 2500.0, 1.0]))],
+        )
+        cfg = FilterConfig(clutter_regime=regime, max_global_hyps=20, validate=True)
+        gibbs_calls = []
+        real_gibbs = filtering.run_gibbs
+
+        def counted_gibbs(*args, **kwargs):
+            gibbs_calls.append(1)
+            return real_gibbs(*args, **kwargs)
+
+        monkeypatch.setattr(filtering, "run_gibbs", counted_gibbs)
+        rng = np.random.default_rng(4)
+        targets = np.array([[60.0, 1.0, 80.0, 0.0], [200.0, -1.0, 150.0, 1.0], [120.0, 0.0, 240.0, -1.0]])
+        d_plain = d_wrapped = initial_density()
+        shared = 0
+        for k in range(1, 5):
+            targets = targets @ cv_motion.F.T
+            scan = np.concatenate([targets @ pos_sensor.H.T + 2.0 * rng.standard_normal((3, 2)), plain.sample(rng)])
+            d_plain = predict(d_plain, cv_motion, birth)
+            d_wrapped = predict(d_wrapped, cv_motion, birth)
+            d_plain = update(d_plain, scan, model, plain, cfg, seed=3)
+            counter.calls.clear()
+            gibbs_calls.clear()
+            d_wrapped = update(d_wrapped, scan, model, wrapped, cfg, seed=3)
+            assert counter.calls and max(counter.calls.values()) == 1
+            assert to_json_obj(d_wrapped) == to_json_obj(d_plain)
+            shared = max(shared, len(gibbs_calls))
+            d_plain, d_wrapped = reduce(d_plain, cfg), reduce(d_wrapped, cfg)
+        # The sampler ran for several predicted global hypotheses of one scan,
+        # so the cache was shared across them.
+        assert shared > 1
+
+
 def two_global_posterior():
     d = ppp_only_density(log_w=0.0, mean=0.0, var=1.0)
     cfg = FilterConfig(clutter_regime="arbitrary")

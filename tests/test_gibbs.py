@@ -136,6 +136,32 @@ class TestConditional:
                 )
 
 
+class TestClutterCache:
+    def test_standalone_problem_evaluates_each_subset_once(self, counting_clutter):
+        from pmbm.clutter import PoissonClutter
+
+        base = small_problem(n=2, m=4, seed=5)
+        counted = counting_clutter(PoissonClutter(2.0, Region((0.0, 0.0), (10.0, 10.0))))
+        p = AssociationProblem(base.log_eta, counted, base.Z, base.n)
+        out = run_gibbs(p, 200, np.random.default_rng(2))
+        assert len(out) > 1
+        assert max(counted.calls.values()) == 1
+        # Weights come from the same evaluations an uncached problem makes.
+        fresh = AssociationProblem(base.log_eta, counted.inner, base.Z, base.n)
+        for gamma, lw in out:
+            assert lw == assoc_log_weight(fresh, gamma)
+
+    def test_shared_cache_must_match_problem(self):
+        p = small_problem(n=1, m=3)
+        other = small_problem(n=1, m=3, seed=9)
+        with pytest.raises(ConfigurationError):
+            AssociationProblem(p.log_eta, p.clutter, other.Z, p.n, p.cache)
+        with pytest.raises(ConfigurationError):
+            AssociationProblem(p.log_eta, other.clutter, p.Z, p.n, p.cache)
+        shared = AssociationProblem(p.log_eta, p.clutter, p.Z, p.n, p.cache)
+        assert shared.cache is p.cache
+
+
 class TestEnumerate:
     def test_counts_match_point_arbitrary(self):
         assert len(enumerate_associations(small_problem(0, 3))[0]) == 8

@@ -7,7 +7,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from pmbm.clutter import IidClusterClutter, PoissonClutter
+from pmbm.clutter import ClutterSource, CompositeClutter, IidClusterClutter, PoissonClutter
 from pmbm.errors import ConfigurationError, NumericalError
 from pmbm.filtering import FilterConfig
 from pmbm.harness import (
@@ -318,6 +318,22 @@ class TestExperiment:
         assert rec.error.startswith("step ")
         with pytest.raises(NumericalError):
             aggregate_metrics([rec])
+
+    def test_size_limit_failure_is_recorded(self):
+        # Composite clutter evaluated as an opaque density is guarded at 12
+        # measurements; the sampler reaches the guard on a 13-point scan.
+        cfg = replace(TINY, steps=2, runs=1)
+        source = ClutterSource((100.0, 200.0), 0.5, 2.0, 25.0 * np.eye(2))
+        spec = FilterSpec(
+            "c-arbitrary",
+            FilterConfig(clutter_regime="arbitrary", max_global_hyps=5),
+            CompositeClutter(PoissonClutter(2.0, region(cfg)), (source,)),
+            False,
+        )
+        scans = [np.random.default_rng(0).uniform(0.0, 300.0, (13, 2))] * 2
+        rec = run_trial(cfg, spec, GroundTruth([], 2), scans, 0, assoc_seed=1)
+        assert rec.failed
+        assert rec.error == "step 1: composite clutter density limited to 12 measurements, got 13"
 
 
 class TestOutputs:
