@@ -128,11 +128,6 @@ class NegBinomialCardinality:
         return int(rng.poisson(lam))
 
 
-def nb_pmf(card: NegBinomialCardinality, m: int) -> float:
-    """Log pmf of the negative binomial cardinality at count m."""
-    return card.log_pmf(m)
-
-
 def nb_from_mean_dispersion(mean: float, dispersion: float) -> NegBinomialCardinality:
     """Negative binomial with the given mean and variance-to-mean ratio."""
     if mean <= 0.0:
@@ -194,6 +189,7 @@ class IidClusterClutter:
     region: Region
 
     def log_density(self, Z) -> float:
+        """log c(Z) = log(|Z|!) + log ρ(|Z|) + Σ log(1/|A|)."""
         Z = _as_scan(Z)
         m = Z.shape[0]
         if m and not bool(np.all(self.region.contains(Z))):
@@ -210,11 +206,6 @@ class IidClusterClutter:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         count = self.cardinality.sample(rng)
         return self.region.sample(rng, count)
-
-
-def iid_cluster_density(c: IidClusterClutter, Z) -> float:
-    """log c(Z) = log(|Z|!) + log ρ(|Z|) + Σ log(1/|A|)."""
-    return c.log_density(Z)
 
 
 @dataclass(frozen=True)
@@ -345,11 +336,6 @@ class ClutterCache:
             out = float(self.clutter.log_density(self.Z[list(cell)]))
             self._memo[cell] = out
         return out
-
-
-def composite_clutter_density(c: CompositeClutter, Z) -> float:
-    """log c(Z) for the composite family (guarded set size)."""
-    return c.log_density(Z)
 
 
 def poisson_nb_kld(mean: float, dispersion: float) -> float:

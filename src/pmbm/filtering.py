@@ -73,6 +73,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.max_global_hyps < 1:
             raise ConfigurationError("max_global_hyps must be >= 1")
+        if self.exhaustive_limit < 1:
+            raise ConfigurationError("exhaustive_limit must be >= 1")
         for name in ("mbm_prune", "ppp_prune", "bern_prune", "gate"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be > 0")
@@ -427,12 +429,6 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
     for g_idx, g in enumerate(d.globals_):
         if g.log_w == NEG_INF:
             continue
-        if m == 0:
-            base = sum(cache(()) for cache in ws.src)
-            for i in range(n):
-                base += ws.miss_info(i, g.berns[i])[0]
-            assoc.append((g_idx, ((),) * n_src, ((),) * n, (), g.log_w + base))
-            continue
         est = 1
         for j in range(m):
             cands = n_src + 1
@@ -601,12 +597,9 @@ def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
             bern_sel[own_index[cell]] = 1
         globals_.append(GlobalHypothesis(log_w, clutter_sel, tuple(bern_sel)))
 
+    # Every association has a finite weight (the fallback carries 0).
     logs = np.array([g.log_w for g in globals_])
     norm = logsumexp(logs)
-    if norm == NEG_INF:
-        # Forced fallback carried weight 0 already; normalize uniformly.
-        logs = np.zeros(len(globals_))
-        norm = math.log(len(globals_))
     globals_ = [
         GlobalHypothesis(float(lw - norm), g.clutter, g.berns)
         for lw, g in zip(logs, globals_)

@@ -13,6 +13,11 @@ the merged parameterization where the PPP clutter intensity is folded into
 the new-track weights) the value 0 simply has zero mass and the sampler
 starts from the all-new-track vector instead of all-zero.
 
+One kernel, ``_candidates``, lists the values a coordinate may take with
+their log weights.  The sampler draws every coordinate from it, and
+``gibbs_conditional``, which the oracle checks, normalizes its output, so
+the checked conditional is the one that runs.
+
 Both engines and the final weights read the clutter set density through one
 ``ClutterCache``, keyed by the sorted tuple of measurement indices left to
 clutter.  The filter update shares one cache per scan across all predicted
@@ -93,6 +98,14 @@ class AssociationProblem:
             ]
             inside = self.clutter.region.contains(self.Z) if m else np.zeros(0, bool)
             self._fast = (table, inside.tolist())
+        # Static candidates (value, eta) of each row among the trees and its
+        # own column, in increasing value order.
+        n = self.n
+        self._row_cands = [[] for _ in range(m)]
+        rows, cols = np.nonzero(self.log_eta > NEG_INF)
+        for q, c in zip(rows.tolist(), cols.tolist()):
+            if c < n or c == n + q:
+                self._row_cands[q].append((c + 1, self._eta_rows[q][c]))
 
     @property
     def m(self) -> int:
@@ -140,44 +153,29 @@ def assoc_log_weight(p: AssociationProblem, gamma) -> float:
     return total + p._clutter_log_density(tuple(clutter_idx))
 
 
-def _conditional_candidates(p: AssociationProblem, gamma, q: int):
-    """Candidate values for coordinate q with log weights on a common scale.
+def _candidates(p: AssociationProblem, gamma, q: int, taken, mc: int):
+    """The values coordinate q may take, with unnormalized log weights.
 
-    Weights are comparable within the returned lists only; callers
-    normalize.  The clutter candidate uses the clutter density with q
-    included, targets and the own column use eta plus the clutter density
-    without q, so states whose remaining clutter set is impossible still
-    get a correct conditional.
+    ``taken`` is the set of trees (1..n) the other coordinates use and
+    ``mc`` how many of them are clutter.  The clutter candidate carries the
+    clutter density with q included; trees and the own column carry eta
+    plus the clutter density without q.  Only values of positive weight are
+    listed, on a scale shared by this call's values alone.
     """
-    m = p.m
-    taken = {gamma[j] for j in range(m) if j != q and gamma[j] > 0}
-    values, logws = [], []
-    row = p._eta_rows[q]
-    if p.clutter is not None:
-        if p._fast is not None:
-            table, inside = p._fast
-            mc = sum(1 for j in range(m) if j != q and gamma[j] == 0)
-            base = table[mc]
-            values.append(0)
-            logws.append(table[mc + 1] if inside[q] else NEG_INF)
-        else:
-            base, with_q = p._clutter_without_with(gamma, q)
-            values.append(0)
-            logws.append(with_q)
+    if p.clutter is None:
+        base, with_q = 0.0, NEG_INF
+    elif p._fast is not None:
+        table, inside = p._fast
+        base = table[mc]
+        with_q = table[mc + 1] if inside[q] else NEG_INF
     else:
-        base = 0.0
-    for v in range(1, p.n + 1):
-        if v in taken:
-            continue
-        w = row[v - 1]
-        if w > NEG_INF and base > NEG_INF:
-            values.append(v)
-            logws.append(w + base)
-    own = p.n + q + 1
-    w = row[own - 1]
-    if w > NEG_INF and base > NEG_INF:
-        values.append(own)
-        logws.append(w + base)
+        base, with_q = p._clutter_without_with(gamma, q)
+    values, logws = ([0], [with_q]) if with_q > NEG_INF else ([], [])
+    if base > NEG_INF:
+        for v, w in p._row_cands[q]:
+            if v not in taken:
+                values.append(v)
+                logws.append(w + base)
     return values, logws
 
 
@@ -189,19 +187,16 @@ def gibbs_conditional(p: AssociationProblem, gamma, q: int) -> np.ndarray:
     gamma = [int(v) for v in gamma]
     if not 0 <= q < p.m:
         raise ConfigurationError(f"coordinate {q} out of range")
-    values, logws = _conditional_candidates(p, gamma, q)
-    out = np.zeros(1 + p.n + p.m)
-    finite = [(v, w) for v, w in zip(values, logws) if w > NEG_INF]
-    if not finite:
+    others = gamma[:q] + gamma[q + 1 :]
+    taken = {v for v in others if 0 < v <= p.n}
+    values, logws = _candidates(p, gamma, q, taken, others.count(0))
+    if not values:
         raise NumericalError(f"conditional has no support at coordinate {q}")
-    top = max(w for _, w in finite)
-    total = 0.0
-    for v, w in finite:
-        ev = math.exp(w - top)
-        out[v] = ev
-        total += ev
-    out /= total
-    return out
+    top = max(logws)
+    out = np.zeros(1 + p.n + p.m)
+    for v, w in zip(values, logws):
+        out[v] = math.exp(w - top)
+    return out / out.sum()
 
 
 def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = False):
@@ -209,8 +204,9 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
 
     Starts from the all-clutter vector (all-new-track when there is no
     clutter column), sweeps coordinates q = 1..m for ``sweeps`` rounds and
-    records the state after every sweep.  Returns the unique recorded
-    vectors in first-visit order with their unnormalized log weights; with
+    records the state after every sweep.  Each coordinate is drawn by
+    inverse CDF from ``_candidates``.  Returns the unique recorded vectors
+    in first-visit order with their unnormalized log weights; with
     ``collect_counts`` also returns a visit-count dict.
     """
     if sweeps < 1:
@@ -222,55 +218,19 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
         empty = ((), assoc_log_weight(p, ()))
         return ([empty], {(): sweeps}) if collect_counts else [empty]
 
-    merged = p.clutter is None
-    gamma = [p.n + j + 1 for j in range(m)] if merged else [0] * m
-    eta_rows = p._eta_rows
-    fast = p._fast
     n = p.n
-    taken = set(v for v in gamma if 0 < v <= n)
-    mc = sum(1 for v in gamma if v == 0)
-    # Static per-coordinate candidates among trees and the own column.
-    tree_cands = []
-    for q in range(m):
-        row = eta_rows[q]
-        cands = [(v, row[v - 1]) for v in range(1, n + 1) if row[v - 1] > NEG_INF]
-        own = n + q + 1
-        if row[own - 1] > NEG_INF:
-            cands.append((own, row[own - 1]))
-        tree_cands.append(cands)
-
-    uniforms = rng.random((sweeps, m))
+    gamma = [n + j + 1 for j in range(m)] if p.clutter is None else [0] * m
+    taken = set()
+    mc = gamma.count(0)
     recorded: dict[tuple, int] = {}
-    for s in range(sweeps):
-        urow = uniforms[s]
+    for urow in rng.random((sweeps, m)).tolist():
         for q in range(m):
             old = gamma[q]
             if old == 0:
                 mc -= 1
             elif old <= n:
                 taken.discard(old)
-            vals = []
-            lws = []
-            if not merged:
-                if fast is not None:
-                    table, inside = fast
-                    base = table[mc]
-                    if inside[q]:
-                        vals.append(0)
-                        lws.append(table[mc + 1])
-                else:
-                    base, with_q = p._clutter_without_with(gamma, q)
-                    if with_q > NEG_INF:
-                        vals.append(0)
-                        lws.append(with_q)
-            else:
-                base = 0.0
-            if base > NEG_INF:
-                for v, w in tree_cands[q]:
-                    if v <= n and v in taken:
-                        continue
-                    vals.append(v)
-                    lws.append(w + base)
+            vals, lws = _candidates(p, gamma, q, taken, mc)
             if not vals:
                 raise NumericalError(
                     f"Gibbs conditional has no support at coordinate {q}"

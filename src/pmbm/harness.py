@@ -41,8 +41,16 @@ from .filtering import (
 from .gospa import GospaConfig, gospa
 from .measmodel import PointTargetModel
 
+# filter name -> (FilterConfig.mode, FilterConfig.clutter_regime)
+_FILTER_TABLE = {
+    "a-pmbm": ("pmbm", "arbitrary"),
+    "a-pmb": ("pmb", "arbitrary"),
+    "pmbm": ("pmbm", "ppp-merged"),
+    "pmb": ("pmb", "ppp-merged"),
+    "mbm": ("mbm", "arbitrary"),
+}
 DEFAULT_FILTERS = ("a-pmbm", "a-pmb", "pmbm", "pmb")
-ALL_FILTERS = DEFAULT_FILTERS + ("mbm",)
+ALL_FILTERS = tuple(_FILTER_TABLE)
 OUTPUT_SCHEMA_VERSION = 1
 
 
@@ -177,9 +185,8 @@ def merged_clutter(cfg: ScenarioConfig) -> PoissonClutter:
 @dataclass(frozen=True)
 class FilterSpec:
     name: str
-    filter_cfg: FilterConfig
+    filter_cfg: FilterConfig  # mode "pmb" collapses to one global hypothesis each step
     clutter: object
-    project: bool  # collapse to a single global hypothesis each step
 
 
 def filter_bank(cfg: ScenarioConfig, names=DEFAULT_FILTERS) -> list[FilterSpec]:
@@ -192,29 +199,13 @@ def filter_bank(cfg: ScenarioConfig, names=DEFAULT_FILTERS) -> list[FilterSpec]:
     )
     out = []
     for name in names:
-        if name == "a-pmbm":
-            spec = FilterSpec(
-                name, FilterConfig(mode="pmbm", clutter_regime="arbitrary", **base), clutter_model(cfg), False
-            )
-        elif name == "a-pmb":
-            spec = FilterSpec(
-                name, FilterConfig(mode="pmb", clutter_regime="arbitrary", **base), clutter_model(cfg), True
-            )
-        elif name == "pmbm":
-            spec = FilterSpec(
-                name, FilterConfig(mode="pmbm", clutter_regime="ppp-merged", **base), merged_clutter(cfg), False
-            )
-        elif name == "pmb":
-            spec = FilterSpec(
-                name, FilterConfig(mode="pmb", clutter_regime="ppp-merged", **base), merged_clutter(cfg), True
-            )
-        elif name == "mbm":
-            spec = FilterSpec(
-                name, FilterConfig(mode="mbm", clutter_regime="arbitrary", **base), clutter_model(cfg), False
-            )
-        else:
+        if name not in _FILTER_TABLE:
             raise ConfigurationError(f"unknown filter name: {name}")
-        out.append(spec)
+        mode, regime = _FILTER_TABLE[name]
+        clutter = merged_clutter(cfg) if regime == "ppp-merged" else clutter_model(cfg)
+        out.append(
+            FilterSpec(name, FilterConfig(mode=mode, clutter_regime=regime, **base), clutter)
+        )
     return out
 
 
@@ -342,7 +333,7 @@ def run_trial(
                 d = predict(d, motion, birth_mixture(cfg, k))
             d = update(d, scans[k - 1], model, spec.clutter, spec.filter_cfg, seed=assoc_seed)
             d = reduce(d, spec.filter_cfg)
-            if spec.project:
+            if spec.filter_cfg.mode == "pmb":
                 d = project_to_pmb(d)
             means = estimate(d, cfg.estimator, cfg.estimator_threshold)
             points = [x[[0, 2]] for x in means]
@@ -468,11 +459,10 @@ def curves_csv_text(metrics: dict) -> str:
 
 def write_outputs(records: list, summary: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    metrics = aggregate_metrics(records)
     with open(os.path.join(out_dir, "gospa.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write(gospa_csv_text(records))
     with open(os.path.join(out_dir, "curves.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(curves_csv_text(metrics))
+        fh.write(curves_csv_text(summary["metrics"]))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

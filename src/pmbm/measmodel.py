@@ -117,17 +117,6 @@ class ExtendedTargetModel:
         return log_lik, post
 
 
-def point_set_density(model: PointTargetModel, Z: np.ndarray, d: GaussianDensity) -> float:
-    """log ⟨d, f(Z|·)⟩ for the point model.  Exact."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float)) if np.size(Z) else np.zeros((0, model.sensor.meas_dim))
-    if Z.shape[0] == 0:
-        return model.log_f_empty()
-    if Z.shape[0] > 1:
-        return NEG_INF
-    log_lik, _ = model.detection_update(d, Z)
-    return log_lik
-
-
 def extended_set_density(
     model: ExtendedTargetModel, Z: np.ndarray, x
 ) -> LogSetDensity:

@@ -17,10 +17,7 @@ from pmbm.clutter import (
     PoissonCardinality,
     PoissonClutter,
     Region,
-    composite_clutter_density,
-    iid_cluster_density,
     nb_from_mean_dispersion,
-    nb_pmf,
     poisson_nb_kld,
     truncation_bound,
 )
@@ -32,10 +29,10 @@ NEG_INF = float("-inf")
 class TestNegBinomial:
     def test_pmf_at_zero(self):
         card = NegBinomialCardinality(2.5, 0.3)
-        assert_allclose(nb_pmf(card, 0), 2.5 * math.log(0.3), atol=1e-12)
+        assert_allclose(card.log_pmf(0), 2.5 * math.log(0.3), atol=1e-12)
 
     def test_geometric_case(self):
-        assert_allclose(nb_pmf(NegBinomialCardinality(1.0, 0.5), 1), math.log(0.25), atol=1e-12)
+        assert_allclose(NegBinomialCardinality(1.0, 0.5).log_pmf(1), math.log(0.25), atol=1e-12)
 
     def test_pmf_sums_to_one(self):
         card = NegBinomialCardinality(10.0 / 19.0, 0.05)
@@ -78,16 +75,16 @@ class TestNegBinomial:
 class TestIidCluster:
     def test_empty_set(self, nb_clutter):
         want = nb_clutter.cardinality.log_pmf(0)
-        assert_allclose(iid_cluster_density(nb_clutter, np.zeros((0, 2))), want, atol=1e-12)
+        assert_allclose(nb_clutter.log_density(np.zeros((0, 2))), want, atol=1e-12)
 
     def test_two_point_value(self, nb_clutter):
         Z = np.array([[10.0, 20.0], [250.0, 100.0]])
         want = math.log(2.0) + nb_clutter.cardinality.log_pmf(2) - 2.0 * math.log(9e4)
-        assert_allclose(iid_cluster_density(nb_clutter, Z), want, atol=1e-12)
+        assert_allclose(nb_clutter.log_density(Z), want, atol=1e-12)
 
     def test_point_outside_region(self, nb_clutter):
         Z = np.array([[10.0, 20.0], [301.0, 100.0]])
-        assert iid_cluster_density(nb_clutter, Z) == NEG_INF
+        assert nb_clutter.log_density(Z) == NEG_INF
 
     def test_poisson_cardinality_matches_poisson_clutter(self, rng, region):
         """The cluster family with Poisson counts is the same process."""
@@ -138,13 +135,13 @@ class TestComposite:
         comp = CompositeClutter(ppp, ())
         for m in range(4):
             Z = region.sample(rng, m)
-            assert composite_clutter_density(comp, Z) == ppp.log_density(Z)
+            assert comp.log_density(Z) == ppp.log_density(Z)
 
     def test_empty_set_factorizes(self, region):
         src = self._source()
         comp = CompositeClutter(PoissonClutter(5.0, region), (src,))
         want = -5.0 + src.log_density(np.zeros((0, 2)))
-        assert_allclose(composite_clutter_density(comp, np.zeros((0, 2))), want, atol=1e-12)
+        assert_allclose(comp.log_density(np.zeros((0, 2))), want, atol=1e-12)
 
     def test_two_point_hand_enumeration(self, region):
         """One source, two measurements: sum over the 4 splits."""
@@ -158,12 +155,12 @@ class TestComposite:
             to_ppp = [j for j in range(2) if not mask & (1 << j)]
             terms.append(ppp.log_density(Z[to_ppp]) + src.log_density(Z[to_src]))
         want = float(np.logaddexp.reduce(terms))
-        assert_allclose(composite_clutter_density(comp, Z), want, atol=1e-10)
+        assert_allclose(comp.log_density(Z), want, atol=1e-10)
 
     def test_guard_on_large_sets(self, region):
         comp = CompositeClutter(PoissonClutter(5.0, region), (self._source(),))
         with pytest.raises(SizeLimitError):
-            composite_clutter_density(comp, region.sample(np.random.default_rng(0), 13))
+            comp.log_density(region.sample(np.random.default_rng(0), 13))
 
     def test_sample_concatenates_parts(self, rng, region):
         comp = CompositeClutter(PoissonClutter(20.0, region), (self._source(rate=5.0),))

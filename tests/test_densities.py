@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import trapezoid
 
 from pmbm.densities import (
     GaussianDensity,
@@ -116,7 +117,7 @@ class TestKalmanUpdate:
         sensor = scalar_sensor(0.5)
         grid = np.linspace(-20.0, 20.0, 4001)
         vals = [math.exp(kalman_update(d, sensor, [z])[1]) for z in grid]
-        total = np.trapezoid(vals, grid)
+        total = trapezoid(vals, grid)
         assert abs(total - 1.0) < 0.01
 
     def test_matches_vectorized_loglik(self, rng, pos_sensor):

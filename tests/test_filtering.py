@@ -50,6 +50,7 @@ from pmbm.hypotheses import (
 from pmbm.measmodel import ExtendedTargetModel, PointTargetModel
 from pmbm.oracle import target_marginals
 
+NEG_INF = float("-inf")
 LINE = Region((-100.0,), (100.0,))
 
 
@@ -223,6 +224,44 @@ class TestUpdateArbitrary:
         expect = r * (1.0 - pd) / (1.0 - r * pd)
         assert_allclose(got, expect, atol=1e-12)
         assert got <= r + 1e-12
+
+    def test_impossible_empty_scan_takes_forced_fallback(self):
+        """pd = 1 and a certain track: an empty scan has zero weight under
+        every predicted hypothesis, so the update takes the same forced
+        fallback, with its warning, as a non-empty scan would."""
+        d = one_track_density(1.0)
+        clutter = nb_line_clutter()
+        with pytest.warns(UserWarning, match="forced all-clutter fallback"):
+            out = update(d, np.zeros((0, 1)), PointTargetModel(scalar_sensor(1.0)), clutter, self.CFG)
+        assert [g.log_w for g in out.globals_] == [0.0]
+        miss = out.trees[0].hyps[out.globals_[0].berns[0]]
+        assert miss.log_w == NEG_INF and miss.r == 0.0 and miss.density is None
+        assert_allclose(out.clutter_trees[0].hyps[0].log_w, clutter.log_empty(), rtol=1e-12)
+
+    def test_general_model_empty_scan_enumerates_at_smallest_limit(self):
+        d = one_track_density(0.6)
+        model = ExtendedTargetModel(scalar_sensor(), 1.5)
+        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=1, validate=True)
+        out = update(d, np.zeros((0, 1)), model, nb_line_clutter(), cfg)
+        assert [g.log_w for g in out.globals_] == [0.0]
+        fac = 1.0 - 0.6 + 0.6 * math.exp(model.log_f_empty())
+        assert_allclose(out.trees[0].hyps[0].r, 0.6 * math.exp(model.log_f_empty()) / fac, rtol=1e-12)
+
+
+class TestFilterConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_global_hyps": 0},
+            {"gate": 0.0},
+            {"mode": "jpda"},
+            {"clutter_regime": "gaussian"},
+            {"exhaustive_limit": 0},
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            FilterConfig(**kwargs)
 
 
 class TestUpdateMergedAndComposite:

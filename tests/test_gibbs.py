@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from pmbm.clutter import IidClusterClutter, Region, nb_from_mean_dispersion
+from pmbm.clutter import IidClusterClutter, PoissonClutter, Region, nb_from_mean_dispersion
 from pmbm.errors import ConfigurationError, NumericalError
 from pmbm.gibbs import (
     AssociationProblem,
@@ -20,6 +20,7 @@ from pmbm.gibbs import (
 from pmbm.hypotheses import count_hypotheses
 
 NEG_INF = float("-inf")
+REGION10 = Region((0.0, 0.0), (10.0, 10.0))
 
 
 def small_problem(n=1, m=2, seed=0, clutter=True, region_side=10.0):
@@ -242,3 +243,38 @@ class TestRunGibbs:
     def test_invalid_sweep_count(self):
         with pytest.raises(ConfigurationError):
             run_gibbs(small_problem(1, 1), 0, np.random.default_rng(0))
+
+
+def _problem_for_branch(branch, seed):
+    """A 3-track, 5-measurement problem on the sampler's count-table,
+    general (opaque clutter density) or merged (no clutter) branch."""
+    base = small_problem(n=3, m=5, seed=seed, clutter=branch == "count-table")
+    if branch == "general":
+        return AssociationProblem(base.log_eta, PoissonClutter(3.0, REGION10), base.Z, base.n)
+    return base
+
+
+def _replay(p, sweeps, seed):
+    """Unique states of ``sweeps`` sweeps drawn coordinate by coordinate
+    from ``gibbs_conditional`` by inverse CDF, with the uniforms run_gibbs
+    reads, in first-visit order."""
+    gamma = [0] * p.m if p.clutter is not None else [p.n + j + 1 for j in range(p.m)]
+    seen = {}
+    for urow in np.random.default_rng(seed).random((sweeps, p.m)):
+        for q, u in enumerate(urow):
+            cdf = np.cumsum(gibbs_conditional(p, gamma, q))
+            gamma[q] = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
+        seen.setdefault(tuple(gamma), None)
+    return list(seen)
+
+
+class TestSamplerRunsCheckedConditional:
+    @pytest.mark.parametrize("branch", ["count-table", "general", "merged"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sweeps_replay_through_conditional(self, branch, seed):
+        p = _problem_for_branch(branch, seed)
+        assert (p._fast is not None) == (branch == "count-table")
+        assert (p.clutter is None) == (branch == "merged")
+        got = [g for g, _ in run_gibbs(p, 40, np.random.default_rng(seed))]
+        assert len(got) > 1
+        assert got == _replay(p, 40, seed)

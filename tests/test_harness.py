@@ -180,11 +180,12 @@ class TestFilterBank:
         assert set(specs) == {"a-pmbm", "a-pmb", "pmbm", "pmb", "mbm"}
         assert specs["a-pmbm"].filter_cfg.clutter_regime == "arbitrary"
         assert isinstance(specs["a-pmbm"].clutter, IidClusterClutter)
-        assert not specs["a-pmbm"].project
-        assert specs["a-pmb"].project
+        assert specs["a-pmbm"].filter_cfg.mode == "pmbm"
+        assert specs["a-pmb"].filter_cfg.mode == "pmb"
         assert specs["pmbm"].filter_cfg.clutter_regime == "ppp-merged"
         assert isinstance(specs["pmbm"].clutter, PoissonClutter)
-        assert specs["pmb"].project
+        assert specs["pmb"].filter_cfg.mode == "pmb"
+        assert specs["pmb"].filter_cfg.clutter_regime == "ppp-merged"
         assert specs["mbm"].filter_cfg.mode == "mbm"
 
     def test_filter_settings_follow_scenario(self):
@@ -307,7 +308,6 @@ class TestExperiment:
                 max_global_hyps=20,
             ),
             clutter_model(cfg),
-            False,
         )
         truth = GroundTruth([GroundTruthTarget(1, np.tile([150.0, 0.0, 150.0, 0.0], (3, 1)))], 3)
         scans = [np.array([[150.0, 150.0], [10.0, 10.0]])] * 3
@@ -328,7 +328,6 @@ class TestExperiment:
             "c-arbitrary",
             FilterConfig(clutter_regime="arbitrary", max_global_hyps=5),
             CompositeClutter(PoissonClutter(2.0, region(cfg)), (source,)),
-            False,
         )
         scans = [np.random.default_rng(0).uniform(0.0, 300.0, (13, 2))] * 2
         rec = run_trial(cfg, spec, GroundTruth([], 2), scans, 0, assoc_seed=1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import trapezoid
 
 from pmbm.densities import GaussianDensity, LinearGaussianSensor, gaussian_logpdf
 from pmbm.errors import ConfigurationError
@@ -14,7 +15,6 @@ from pmbm.measmodel import (
     ExtendedTargetModel,
     PointTargetModel,
     extended_set_density,
-    point_set_density,
 )
 
 NEG_INF = float("-inf")
@@ -26,23 +26,23 @@ def scalar_model(pd=0.9, r=1.0):
 
 class TestPointModel:
     def test_empty_set_is_miss_probability(self):
-        got = point_set_density(scalar_model(0.9), np.zeros((0, 1)), _prior())
+        got = scalar_model(0.9).log_f_empty()
         assert_allclose(got, math.log(0.1), atol=1e-12)
 
     def test_two_measurements_impossible(self):
-        got = point_set_density(scalar_model(), np.array([[0.0], [1.0]]), _prior())
+        got = scalar_model().detection_update(_prior(), np.array([[0.0], [1.0]]))[0]
         assert got == NEG_INF
 
     def test_singleton_value(self):
         """pd times the N(0,2) predictive density at z=2."""
-        got = point_set_density(scalar_model(0.9), np.array([[2.0]]), _prior())
+        got = scalar_model(0.9).detection_update(_prior(), np.array([[2.0]]))[0]
         want = math.log(0.9) - 0.5 * (4.0 / 2.0 + math.log(2.0) + math.log(2 * math.pi))
         assert_allclose(got, want, atol=1e-12)
 
     def test_never_detecting_sensor(self):
         model = scalar_model(pd=0.0)
         assert model.detection_update(_prior(), np.array([[1.0]]))[0] == NEG_INF
-        assert point_set_density(model, np.zeros((0, 1)), _prior()) == 0.0
+        assert model.log_f_empty() == 0.0
 
     def test_perfect_sensor_cannot_miss(self):
         assert scalar_model(pd=1.0).log_f_empty() == NEG_INF
@@ -51,8 +51,8 @@ class TestPointModel:
         model = scalar_model(0.7)
         d = _prior()
         grid = np.linspace(-25.0, 25.0, 4001)
-        dens = [math.exp(point_set_density(model, np.array([[z]]), d)) for z in grid]
-        total = math.exp(model.log_f_empty()) + np.trapezoid(dens, grid)
+        dens = [math.exp(model.detection_update(d, np.array([[z]]))[0]) for z in grid]
+        total = math.exp(model.log_f_empty()) + trapezoid(dens, grid)
         assert abs(total - 1.0) < 0.01
 
 
