@@ -26,7 +26,7 @@ from .densities import (
     LinearGaussianMotion,
     LinearGaussianSensor,
 )
-from .errors import ConfigurationError, NumericalError, SizeLimitError
+from .errors import ConfigurationError, NumericalError, PmbmError, SizeLimitError
 from .filtering import (
     FilterConfig,
     PmbmDensity,
@@ -73,6 +73,7 @@ __all__ = [
     "NegBinomialCardinality",
     "NumericalError",
     "PmbmDensity",
+    "PmbmError",
     "PointTargetModel",
     "PoissonCardinality",
     "PoissonClutter",

@@ -21,6 +21,7 @@ from .measmodel import ExtendedTargetModel, extended_set_density
 
 NEG_INF = float("-inf")
 _TRUNCATION_TAIL = 1e-14
+_UNBUILT = object()
 
 
 def _as_scan(Z) -> np.ndarray:
@@ -173,9 +174,6 @@ class PoissonClutter:
         Z = _as_scan(Z)
         return -self.rate + float(np.sum(self.log_intensity(Z)))
 
-    def log_empty(self) -> float:
-        return -self.rate
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         count = int(rng.poisson(self.rate))
         return self.region.sample(rng, count)
@@ -200,9 +198,6 @@ class IidClusterClutter:
             - m * math.log(self.region.area)
         )
 
-    def log_empty(self) -> float:
-        return self.cardinality.log_pmf(0)
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         count = self.cardinality.sample(rng)
         return self.region.sample(rng, count)
@@ -222,18 +217,14 @@ class ClutterSource:
         loc = np.asarray(self.location, dtype=float)
         loc.setflags(write=False)
         object.__setattr__(self, "location", loc)
-        model = ExtendedTargetModel(
-            LinearGaussianSensor(np.eye(loc.size), self.cov, self.pd), self.rate
-        )
-        object.__setattr__(self, "cov", model.sensor.R)
+        cov = GaussianDensity(loc, self.cov).cov
+        model = ExtendedTargetModel(LinearGaussianSensor(np.eye(loc.size), cov, self.pd), self.rate)
+        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_model", model)
 
     def log_density(self, Z) -> float:
         Z = _as_scan(Z)
         return extended_set_density(self._model, Z, self.location).value
-
-    def log_empty(self) -> float:
-        return self._model.log_f_empty()
 
     def log_meas_density(self, Z) -> np.ndarray:
         """Per-measurement log N(z; location, cov)."""
@@ -308,9 +299,6 @@ class CompositeClutter:
             return NEG_INF
         return -self.ppp.rate + float(logsumexp(terms))
 
-    def log_empty(self) -> float:
-        return self.log_density(np.zeros((0, self.ppp.region.dim)))
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         parts = [self.ppp.sample(rng)]
         parts += [s.sample(rng) for s in self.sources]
@@ -329,6 +317,7 @@ class ClutterCache:
         self.clutter = clutter
         self.Z = Z
         self._memo: dict[tuple, float] = {}
+        self._table = _UNBUILT
 
     def __call__(self, cell: tuple) -> float:
         out = self._memo.get(cell)
@@ -336,6 +325,27 @@ class ClutterCache:
             out = float(self.clutter.log_density(self.Z[list(cell)]))
             self._memo[cell] = out
         return out
+
+    def count_table(self):
+        """``(table, inside)`` when c(Z[cell]) depends on the cell only through
+        its size once every point lies in the region (``IidClusterClutter``):
+        ``table[x]`` is log c of x in-region points for x = 0..m and
+        ``inside[j]`` says whether Z[j] is in the region.  None for other
+        models.  Built once per cache, so once per scan in the update.
+        """
+        if self._table is _UNBUILT:
+            self._table = None
+            if isinstance(self.clutter, IidClusterClutter):
+                m = self.Z.shape[0]
+                card = self.clutter.cardinality
+                log_area = math.log(self.clutter.region.area)
+                table = [
+                    math.lgamma(x + 1) + float(card.log_pmf(x)) - x * log_area
+                    for x in range(m + 1)
+                ]
+                inside = self.clutter.region.contains(self.Z) if m else np.zeros(0, bool)
+                self._table = (table, inside.tolist())
+        return self._table
 
 
 def poisson_nb_kld(mean: float, dispersion: float) -> float:

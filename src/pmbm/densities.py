@@ -1,9 +1,20 @@
 """Gaussian state densities and the linear-Gaussian prediction/update algebra.
 
-All covariance handling is defensive: matrices are validated on construction,
-updates use the Joseph form and re-symmetrize, and singular innovation
-covariances raise :class:`~pmbm.errors.NumericalError` instead of silently
-producing garbage.
+Validation rule: densities built from user input (``GaussianDensity(mean,
+cov)``) are copied, checked for shape, symmetry and positive definiteness,
+and raise :class:`~pmbm.errors.ConfigurationError`.  Densities this module
+computes (predictions, posteriors, moment matches) skip that path: each
+new covariance gets one Cholesky check, and an internal state that is not
+positive definite raises :class:`~pmbm.errors.NumericalError`, as does a
+singular innovation covariance.  Updates use the Joseph form and
+re-symmetrize.
+
+Memo contract: a density is immutable (its arrays are read-only), so its
+innovation against a sensor (H m, the Cholesky factor of S = H P H' + R and
+log|S|, then the gain and posterior covariance) is computed once and reused
+by the gate, the likelihoods and every measurement update, as long as the
+same sensor object asks next.  The density's own Cholesky factor, used by
+``gaussian_logpdf``, is kept the same way.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
 
@@ -38,12 +49,32 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
+def _factor(a: np.ndarray):
+    """Lower Cholesky factor of a (as ``cho_factor(a, lower=True)`` returns
+    it) and log|a|, or None when a is not positive definite or not finite."""
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        return None
+    log_det = 2.0 * float(np.sum(np.log(np.diag(c))))
+    return (c, log_det) if math.isfinite(log_det) else None
+
+
+def _solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a⁻¹ b from the lower factor c of a (what ``cho_solve`` runs)."""
+    return dpotrs(c, b, lower=1)[0]
+
+
 @dataclass(frozen=True)
 class GaussianDensity:
     """Single Gaussian with mean (d,) and positive definite covariance (d, d)."""
 
     mean: np.ndarray
     cov: np.ndarray
+
+    # Memo slots (not fields): the innovation against the last sensor used,
+    # and the (factor, log-determinant) of cov.
+    _innov = None
+    _own = None
 
     def __post_init__(self):
         mean = _as_readonly(self.mean)
@@ -58,9 +89,38 @@ class GaussianDensity:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
+        """A density the package computed: no copy and no validation.  The
+        arrays are marked read-only; the caller answers for their shape and
+        for checking cov."""
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        d = object.__new__(cls)
+        object.__setattr__(d, "mean", mean)
+        object.__setattr__(d, "cov", cov)
+        return d
+
     @property
     def dim(self) -> int:
         return self.mean.size
+
+
+def _own_factor(d: GaussianDensity):
+    """(lower Cholesky factor, log-determinant) of d.cov, computed once."""
+    own = d._own
+    if own is None:
+        own = _factor(d.cov)
+        if own is None:
+            raise NumericalError("covariance is not positive definite")
+        object.__setattr__(d, "_own", own)
+    return own
+
+
+def _check_pd(cov: np.ndarray, what: str) -> None:
+    """The one Cholesky check an internal covariance gets."""
+    if dpotrf(cov, lower=1, clean=0)[1] != 0:
+        raise NumericalError(f"{what} is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -112,18 +172,37 @@ def kalman_predict(d: GaussianDensity, motion: LinearGaussianMotion) -> Gaussian
         raise ConfigurationError("motion model dimension does not match state")
     mean = motion.F @ d.mean
     cov = symmetrize(motion.F @ d.cov @ motion.F.T + motion.Q)
-    return GaussianDensity(mean, cov)
+    _check_pd(cov, "predicted covariance")
+    return GaussianDensity._trusted(mean, cov)
 
 
-def _innovation_cholesky(d: GaussianDensity, sensor: LinearGaussianSensor):
+@dataclass(slots=True)
+class _Innovation:
+    """One density's innovation against one sensor: H m, the lower Cholesky
+    factor of S = H P H' + R and log|S|.  The gain K and the posterior
+    covariance P⁺ are built on the first measurement update."""
+
+    sensor: LinearGaussianSensor
+    Hm: np.ndarray
+    chol: np.ndarray
+    log_det: float
+    K: np.ndarray | None = None
+    post_cov: np.ndarray | None = None
+
+
+def _innovation(d: GaussianDensity, sensor: LinearGaussianSensor) -> _Innovation:
+    rec = d._innov
+    if rec is not None and rec.sensor is sensor:
+        return rec
     if sensor.H.shape[1] != d.dim:
         raise ConfigurationError("sensor model dimension does not match state")
     S = symmetrize(sensor.H @ d.cov @ sensor.H.T + sensor.R)
-    try:
-        chol = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular innovation covariance: {S!r}") from exc
-    return S, chol
+    fac = _factor(S)
+    if fac is None:
+        raise NumericalError(f"singular innovation covariance: {S!r}")
+    rec = _Innovation(sensor, sensor.H @ d.mean, *fac)
+    object.__setattr__(d, "_innov", rec)
+    return rec
 
 
 def kalman_update(
@@ -134,17 +213,26 @@ def kalman_update(
     z = np.asarray(z, dtype=float)
     if z.shape != (sensor.meas_dim,):
         raise ConfigurationError("measurement dimension does not match sensor")
-    S, chol = _innovation_cholesky(d, sensor)
-    nu = z - sensor.H @ d.mean
-    # K = P H' S^-1 via the Cholesky factor of S
-    K = cho_solve(chol, sensor.H @ d.cov).T
-    mean = d.mean + K @ nu
-    I_KH = np.eye(d.dim) - K @ sensor.H
-    cov = symmetrize(I_KH @ d.cov @ I_KH.T + K @ sensor.R @ K.T)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    maha = float(nu @ cho_solve(chol, nu))
-    log_lik = -0.5 * (maha + log_det + z.size * _LOG_2PI)
-    return GaussianDensity(mean, cov), log_lik
+    rec = _innovation(d, sensor)
+    if rec.post_cov is None:
+        # K = P H' S^-1 via the Cholesky factor of S
+        K = _solve(rec.chol, sensor.H @ d.cov).T
+        I_KH = np.eye(d.dim) - K @ sensor.H
+        cov = symmetrize(I_KH @ d.cov @ I_KH.T + K @ sensor.R @ K.T)
+        _check_pd(cov, "posterior covariance")
+        cov.setflags(write=False)
+        rec.K, rec.post_cov = K, cov
+    nu = z - rec.Hm
+    mean = d.mean + rec.K @ nu
+    maha = float(nu @ _solve(rec.chol, nu))
+    log_lik = -0.5 * (maha + rec.log_det + z.size * _LOG_2PI)
+    return GaussianDensity._trusted(mean, rec.post_cov), log_lik
+
+
+def _innovation_maha(rec: _Innovation, Z: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis innovation distance of each row of Z."""
+    nu = Z - rec.Hm
+    return np.einsum("ij,ij->i", nu, _solve(rec.chol, nu.T).T)
 
 
 def predicted_measurement_loglik(
@@ -152,11 +240,9 @@ def predicted_measurement_loglik(
 ) -> np.ndarray:
     """log N(z; H m, S) for each row z of Z, without forming posteriors."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    _, chol = _innovation_cholesky(d, sensor)
-    nu = Z - sensor.H @ d.mean
-    maha = np.einsum("ij,ij->i", nu, cho_solve(chol, nu.T).T)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    return -0.5 * (maha + log_det + Z.shape[1] * _LOG_2PI)
+    rec = _innovation(d, sensor)
+    maha = _innovation_maha(rec, Z)
+    return -0.5 * (maha + rec.log_det + Z.shape[1] * _LOG_2PI)
 
 
 def ellipsoidal_gate(
@@ -167,23 +253,16 @@ def ellipsoidal_gate(
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    _, chol = _innovation_cholesky(d, sensor)
-    nu = Z - sensor.H @ d.mean
-    maha = np.einsum("ij,ij->i", nu, cho_solve(chol, nu.T).T)
-    return maha <= gamma
+    return _innovation_maha(_innovation(d, sensor), Z) <= gamma
 
 
 def gaussian_logpdf(x: np.ndarray, d: GaussianDensity) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != d.mean.shape:
         raise ConfigurationError("point dimension does not match density")
-    try:
-        chol = cho_factor(d.cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular covariance in logpdf") from exc
+    chol, log_det = _own_factor(d)
     nu = x - d.mean
-    maha = float(nu @ cho_solve(chol, nu))
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    maha = float(nu @ _solve(chol, nu))
     return -0.5 * (maha + log_det + x.size * _LOG_2PI)
 
 
@@ -200,7 +279,9 @@ def moment_match(log_weights: np.ndarray, comps: list[GaussianDensity]) -> Gauss
     for wi, c in zip(w, comps):
         dm = c.mean - mean
         cov += wi * (c.cov + np.outer(dm, dm))
-    return GaussianDensity(mean, symmetrize(cov))
+    cov = symmetrize(cov)
+    _check_pd(cov, "moment-matched covariance")
+    return GaussianDensity._trusted(mean, cov)
 
 
 @dataclass

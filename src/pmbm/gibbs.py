@@ -24,7 +24,8 @@ clutter.  The filter update shares one cache per scan across all predicted
 global hypotheses, so ``log_density`` must be a deterministic function of
 the measurement set; it is evaluated at most once per distinct subset per
 scan.  Clutter models with a count table (``IidClusterClutter``) skip the
-set density while sampling and read only the table.
+set density while sampling and read only the table, which the cache builds
+once (``ClutterCache.count_table``), so once per scan in the filter update.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .clutter import ClutterCache, IidClusterClutter
+from .clutter import ClutterCache
 from .errors import ConfigurationError, NumericalError, SizeLimitError
 from .hypotheses import count_hypotheses
 
@@ -88,16 +89,7 @@ class AssociationProblem:
         if self.cache is None and self.clutter is not None:
             self.cache = ClutterCache(self.clutter, self.Z)
         self._eta_rows = self.log_eta.tolist()
-        self._fast = None
-        if isinstance(self.clutter, IidClusterClutter):
-            card = self.clutter.cardinality
-            log_area = math.log(self.clutter.region.area)
-            table = [
-                math.lgamma(x + 1) + float(card.log_pmf(x)) - x * log_area
-                for x in range(m + 1)
-            ]
-            inside = self.clutter.region.contains(self.Z) if m else np.zeros(0, bool)
-            self._fast = (table, inside.tolist())
+        self._fast = self.cache.count_table() if self.cache is not None else None
         # Static candidates (value, eta) of each row among the trees and its
         # own column, in increasing value order.
         n = self.n

@@ -28,7 +28,7 @@ from .densities import (
     LinearGaussianMotion,
     LinearGaussianSensor,
 )
-from .errors import ConfigurationError, NumericalError, SizeLimitError
+from .errors import ConfigurationError, NumericalError, PmbmError
 from .filtering import (
     FilterConfig,
     estimate,
@@ -340,7 +340,7 @@ def run_trial(
             res = gospa(points, truth.positions_at(k), gcfg)
             gospa_rows.append((res.total, res.localization, res.missed, res.false_))
             ms.append((time.perf_counter() - t0) * 1000.0)
-    except (NumericalError, SizeLimitError, np.linalg.LinAlgError) as exc:
+    except (PmbmError, np.linalg.LinAlgError) as exc:
         return RunRecord(
             spec.name, run_idx, assoc_seed, gospa_rows, ms, failed=True,
             error=f"step {len(gospa_rows) + 1}: {exc}",

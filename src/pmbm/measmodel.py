@@ -136,7 +136,7 @@ def extended_set_density(
     if model.sensor.pd == 0.0:
         return LogSetDensity(NEG_INF, approximate=approximate)
     value = model._log_count_term(Z.shape[0])
-    meas_density = GaussianDensity(model.sensor.H @ mean, model.sensor.R)
+    meas_density = GaussianDensity._trusted(model.sensor.H @ mean, model.sensor.R)
     for z in Z:
         value += gaussian_logpdf(z, meas_density)
     return LogSetDensity(value, approximate=approximate)

@@ -47,9 +47,6 @@ class CountingClutter:
         self.calls[np.asarray(Z).tobytes()] += 1
         return self.inner.log_density(Z)
 
-    def log_empty(self):
-        return self.inner.log_empty()
-
 
 @pytest.fixture
 def counting_clutter():

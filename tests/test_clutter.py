@@ -162,6 +162,10 @@ class TestComposite:
         with pytest.raises(SizeLimitError):
             comp.log_density(region.sample(np.random.default_rng(0), 13))
 
+    def test_source_covariance_validated_on_construction(self):
+        with pytest.raises(ConfigurationError):
+            ClutterSource(np.array([1.0, 2.0]), 0.5, 2.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
     def test_sample_concatenates_parts(self, rng, region):
         comp = CompositeClutter(PoissonClutter(20.0, region), (self._source(rate=5.0),))
         Z = comp.sample(rng)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
+from scipy.linalg import cho_factor, cho_solve
 
 from pmbm.densities import (
     GaussianDensity,
@@ -21,7 +22,7 @@ from pmbm.densities import (
     moment_match,
     predicted_measurement_loglik,
 )
-from pmbm.errors import ConfigurationError
+from pmbm.errors import ConfigurationError, NumericalError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -224,3 +225,123 @@ def test_logpdf_against_scipy(rng):
     assert_allclose(
         gaussian_logpdf(x, d), multivariate_normal.logpdf(x, mean, cov), atol=1e-10
     )
+
+
+# -- the factor-once kernel against the textbook formulas -------------------
+
+
+def _random_pd(rng, k):
+    A = rng.normal(size=(k, k))
+    return A @ A.T + 0.5 * np.eye(k)
+
+
+def _random_case(rng):
+    """A PD state, a sensor and a scan of random dimensions.  R is small
+    next to H P H', so a change in how S is formed shows in its last bits."""
+    dx = int(rng.integers(1, 5))
+    dz = int(rng.integers(1, dx + 1))
+    d = GaussianDensity(rng.normal(size=dx) * 10.0, 30.0 * _random_pd(rng, dx))
+    sensor = LinearGaussianSensor(rng.normal(size=(dz, dx)), 0.01 * _random_pd(rng, dz), 0.9)
+    Z = rng.normal(size=(int(rng.integers(1, 7)), dz)) * 3.0
+    return d, sensor, Z
+
+
+def _ref_innovation(d, sensor):
+    HPH = sensor.H @ d.cov @ sensor.H.T + sensor.R
+    chol = cho_factor(0.5 * (HPH + HPH.T), lower=True)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    return chol, log_det
+
+
+def _ref_maha(d, sensor, Z):
+    chol, _ = _ref_innovation(d, sensor)
+    nu = Z - sensor.H @ d.mean
+    return np.einsum("ij,ij->i", nu, cho_solve(chol, nu.T).T)
+
+
+def _ref_update(d, sensor, z):
+    chol, log_det = _ref_innovation(d, sensor)
+    nu = z - sensor.H @ d.mean
+    K = cho_solve(chol, sensor.H @ d.cov).T
+    mean = d.mean + K @ nu
+    I_KH = np.eye(d.dim) - K @ sensor.H
+    J = I_KH @ d.cov @ I_KH.T + K @ sensor.R @ K.T
+    maha = float(nu @ cho_solve(chol, nu))
+    return mean, 0.5 * (J + J.T), -0.5 * (maha + log_det + z.size * LOG_2PI)
+
+
+def _ref_loglik(d, sensor, Z):
+    _, log_det = _ref_innovation(d, sensor)
+    return -0.5 * (_ref_maha(d, sensor, Z) + log_det + Z.shape[1] * LOG_2PI)
+
+
+class TestFactorOnceKernel:
+    """The memoized innovation gives the same bits as factoring S afresh
+    with ``cho_factor``/``cho_solve`` on every call."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_to_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            d, sensor, Z = _random_case(rng)
+            gate = float(rng.uniform(0.5, 20.0))
+            # the gate touches the density first, as in the filter update
+            assert np.array_equal(ellipsoidal_gate(d, sensor, Z, gate), _ref_maha(d, sensor, Z) <= gate)
+            assert np.array_equal(predicted_measurement_loglik(d, sensor, Z), _ref_loglik(d, sensor, Z))
+            for z in Z:
+                post, log_lik = kalman_update(d, sensor, z)
+                mean, cov, want = _ref_update(d, sensor, z)
+                assert np.array_equal(post.mean, mean)
+                assert np.array_equal(post.cov, cov)
+                assert log_lik == want
+
+    def test_memo_follows_the_sensor(self):
+        rng = np.random.default_rng(7)
+        d = GaussianDensity(rng.normal(size=4), _random_pd(rng, 4))
+        sensors = [
+            LinearGaussianSensor(rng.normal(size=(2, 4)), _random_pd(rng, 2), 0.9),
+            LinearGaussianSensor(rng.normal(size=(2, 4)), _random_pd(rng, 2), 0.9),
+        ]
+        Z = rng.normal(size=(5, 2))
+        for k in range(6):
+            sensor = sensors[k % 2]
+
+            def fresh():
+                return GaussianDensity(d.mean, d.cov)
+
+            post, log_lik = kalman_update(d, sensor, Z[k % 5])
+            want_post, want_lik = kalman_update(fresh(), sensor, Z[k % 5])
+            assert np.array_equal(post.mean, want_post.mean)
+            assert np.array_equal(post.cov, want_post.cov)
+            assert log_lik == want_lik
+            assert np.array_equal(
+                predicted_measurement_loglik(d, sensor, Z),
+                predicted_measurement_loglik(fresh(), sensor, Z),
+            )
+            assert np.array_equal(
+                ellipsoidal_gate(d, sensor, Z, 3.0), ellipsoidal_gate(fresh(), sensor, Z, 3.0)
+            )
+
+    def test_internal_non_pd_state_is_numerical(self):
+        d = GaussianDensity(np.zeros(2), np.eye(2))
+        singular = LinearGaussianMotion(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0)
+        with pytest.raises(NumericalError):
+            kalman_predict(d, singular)
+        blind = LinearGaussianSensor(np.zeros((1, 2)), np.zeros((1, 1)), 0.9)
+        with pytest.raises(NumericalError):
+            kalman_update(d, blind, [0.0])
+
+    def test_user_non_pd_covariance_is_configuration(self):
+        with pytest.raises(ConfigurationError):
+            GaussianDensity(np.zeros(2), np.diag([1.0, 0.0]))
+
+    def test_internal_outputs_are_read_only(self, cv_motion, pos_sensor):
+        d = GaussianDensity(np.zeros(4), np.eye(4))
+        pred = kalman_predict(d, cv_motion)
+        post, _ = kalman_update(pred, pos_sensor, [1.0, 2.0])
+        mixed = moment_match(np.log([0.5, 0.5]), [pred, post])
+        for out in (pred, post, mixed):
+            for arr in (out.mean, out.cov):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0

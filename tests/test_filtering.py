@@ -151,7 +151,7 @@ class TestUpdateArbitrary:
         assert_allclose(out.ppp.total_mass(), 0.05, rtol=1e-12)
         # The clutter history absorbed log c(emptyset).
         assert len(out.clutter_trees) == 1
-        assert_allclose(out.clutter_trees[0].hyps[0].log_w, clutter.log_empty(), rtol=1e-12)
+        assert_allclose(out.clutter_trees[0].hyps[0].log_w, clutter.log_density(np.zeros((0, 1))), rtol=1e-12)
 
     def test_singleton_scan_splits_clutter_vs_new_track(self):
         d = ppp_only_density(log_w=0.0, mean=0.0, var=1.0)
@@ -167,7 +167,7 @@ class TestUpdateArbitrary:
         assert born.pairs == frozenset({MeasurementPair(1, 1)})
         # Posterior split between c({z}) and c(emptyset) * new-track weight.
         log_l = math.log(0.9) + float(predicted_measurement_loglik(d.ppp.comps[0], scalar_sensor(), z)[0])
-        branches = [clutter.log_density(z), clutter.log_empty() + log_l]
+        branches = [clutter.log_density(z), clutter.log_density(np.zeros((0, 1))) + log_l]
         expect = np.array(branches) - logsumexp(branches)
         got = np.sort(global_weights(out))
         assert_allclose(got, np.sort(expect), rtol=1e-12)
@@ -236,7 +236,7 @@ class TestUpdateArbitrary:
         assert [g.log_w for g in out.globals_] == [0.0]
         miss = out.trees[0].hyps[out.globals_[0].berns[0]]
         assert miss.log_w == NEG_INF and miss.r == 0.0 and miss.density is None
-        assert_allclose(out.clutter_trees[0].hyps[0].log_w, clutter.log_empty(), rtol=1e-12)
+        assert_allclose(out.clutter_trees[0].hyps[0].log_w, clutter.log_density(np.zeros((0, 1))), rtol=1e-12)
 
     def test_general_model_empty_scan_enumerates_at_smallest_limit(self):
         d = one_track_density(0.6)

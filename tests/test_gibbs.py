@@ -162,6 +162,30 @@ class TestClutterCache:
         shared = AssociationProblem(p.log_eta, p.clutter, p.Z, p.n, p.cache)
         assert shared.cache is p.cache
 
+    def test_count_table_built_once_per_cache(self):
+        class CountingCard:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def log_pmf(self, x):
+                self.calls += 1
+                return self.inner.log_pmf(x)
+
+        base = small_problem(n=2, m=4, seed=3)
+        card = CountingCard(nb_from_mean_dispersion(3.0, 4.0))
+        clutter = IidClusterClutter(card, REGION10)
+        first = AssociationProblem(base.log_eta, clutter, base.Z, base.n)
+        for _ in range(5):
+            p = AssociationProblem(base.log_eta, clutter, base.Z, base.n, first.cache)
+            assert p._fast is first._fast
+        assert card.calls == base.m + 1
+        table, inside = first.cache.count_table()
+        assert inside == [True] * base.m
+        for x in range(base.m + 1):
+            assert_allclose(table[x], clutter.log_density(base.Z[:x]), rtol=1e-12)
+        poisson = AssociationProblem(base.log_eta, PoissonClutter(2.0, REGION10), base.Z, base.n)
+        assert poisson.cache.count_table() is None and poisson._fast is None
+
 
 class TestEnumerate:
     def test_counts_match_point_arbitrary(self):

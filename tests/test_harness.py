@@ -335,6 +335,32 @@ class TestExperiment:
         assert rec.error == "step 1: composite clutter density limited to 12 measurements, got 13"
 
 
+    def test_configuration_error_mid_run_is_recorded(self):
+        class RefusesThreePoints:
+            """A clutter density that refuses sets of three or more points."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def log_density(self, Z):
+                if len(Z) >= 3:
+                    raise ConfigurationError("clutter refuses 3 points")
+                return self.inner.log_density(Z)
+
+        cfg = replace(TINY, steps=4, runs=1)
+        spec = FilterSpec(
+            "refuses",
+            FilterConfig(clutter_regime="arbitrary", max_global_hyps=5),
+            RefusesThreePoints(clutter_model(cfg)),
+        )
+        pts = np.array([[40.0, 40.0], [120.0, 200.0], [250.0, 60.0]])
+        scans = [pts[:2], pts[:1], pts, pts[:1]]
+        rec = run_trial(cfg, spec, GroundTruth([], 4), scans, 0, assoc_seed=1)
+        assert rec.failed
+        assert rec.error == "step 3: clutter refuses 3 points"
+        assert len(rec.gospa) == 2
+
+
 class TestOutputs:
     def test_written_files(self, tmp_path):
         out = tmp_path / "exp"
