@@ -229,9 +229,8 @@ class ClutterSource:
     def log_meas_density(self, Z) -> np.ndarray:
         """Per-measurement log N(z; location, cov)."""
         Z = _as_scan(Z)
-        d = GaussianDensity(self.location, self.cov)
         diff = Z - self.location
-        chol = np.linalg.cholesky(d.cov)
+        chol = np.linalg.cholesky(self.cov)
         sol = np.linalg.solve(chol, diff.T)
         maha = np.sum(sol**2, axis=0)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))

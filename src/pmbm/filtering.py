@@ -16,7 +16,9 @@ regimes:
 
 Association work per predicted global hypothesis is delegated either to
 exhaustive enumeration (small problems, or whenever the model demands it)
-or to the Gibbs sampler.
+or to the Gibbs sampler.  Sizing, enumeration options and the sampler's
+eta rows all read one gate table per predicted global hypothesis
+(``_UpdateWorkspace.gated_trees``): per measurement, the trees that gate it.
 """
 
 from __future__ import annotations
@@ -245,23 +247,28 @@ class _UpdateWorkspace:
             self._miss[key] = out
         return out
 
-    def gated_js(self, i, a):
-        """Measurement indices inside the gate of predicted hypothesis (i,a)."""
-        key = (i, a)
-        out = self._rows.get(key)
-        if out is None:
-            h = self.d.trees[i].hyps[a]
-            if h.r == 0.0 or self.m == 0:
-                out = []
-            else:
-                mask = ellipsoidal_gate(h.density, self.model.sensor, self.Z, self.cfg.gate)
-                out = [j for j in range(self.m) if mask[j]]
-            self._rows[key] = out
-        return out
+    def gated_trees(self, g):
+        """Gate table of predicted global hypothesis g: entry j lists, in
+        ascending order, the trees whose hypothesis in g gates measurement j.
+        Each predicted local hypothesis (i, a) is gated once per scan."""
+        rows = [[] for _ in range(self.m)]
+        for i, a in enumerate(g.berns):
+            js = self._rows.get((i, a))
+            if js is None:
+                h = self.d.trees[i].hyps[a]
+                if h.r == 0.0 or self.m == 0:
+                    js = []
+                else:
+                    mask = ellipsoidal_gate(h.density, self.model.sensor, self.Z, self.cfg.gate)
+                    js = np.flatnonzero(mask).tolist()
+                self._rows[(i, a)] = js
+            for j in js:
+                rows[j].append(i)
+        return rows
 
     def det_info(self, i, a, cell):
-        """Detection factor and posterior for tree i, hypothesis a, cell of
-        measurement indices (int for point, tuple for general)."""
+        """Detection factor and posterior for tree i, hypothesis a and a cell
+        (tuple of measurement indices)."""
         key = (i, a, cell)
         out = self._det.get(key)
         if out is None:
@@ -269,8 +276,7 @@ class _UpdateWorkspace:
             if h.r == 0.0:
                 out = (NEG_INF, None)
             else:
-                idx = [cell] if isinstance(cell, int) else list(cell)
-                ll, post = self.model.detection_update(h.density, self.Z[idx])
+                ll, post = self.model.detection_update(h.density, self.Z[list(cell)])
                 fac = math.log(h.r) + ll if ll > NEG_INF and h.r > 0 else NEG_INF
                 out = (fac, post)
             self._det[key] = out
@@ -284,28 +290,19 @@ class _UpdateWorkspace:
         out = self._own.get(cell)
         if out is not None:
             return out
+        lws = None
         if self.point and len(cell) == 1:
-            j = cell[0]
-            log_l = self._own_l[j]
-            log_w = self._own_w[j]
+            log_l, log_w = self._own_l[cell[0]], self._own_w[cell[0]]
         else:
-            parts = []
-            for lw, c in self._ppp_comps:
-                ll, _ = self.model.detection_update(c, self.Z[list(cell)])
-                if ll > NEG_INF:
-                    parts.append(lw + ll)
-            log_l = float(logsumexp(parts)) if parts else NEG_INF
+            lws, comps = self._own_updates(cell)
+            log_l = float(logsumexp(lws)) if lws else NEG_INF
             log_w = log_l
             if self.log_lam is not None and len(cell) == 1:
                 log_w = float(np.logaddexp(self.log_lam[cell[0]], log_l))
         if log_w > NEG_INF and log_l > NEG_INF:
+            if lws is None:
+                lws, comps = self._own_updates(cell)
             r = math.exp(log_l - log_w)
-            comps, lws = [], []
-            for lw, c in self._ppp_comps:
-                ll, post = self.model.detection_update(c, self.Z[list(cell)])
-                if ll > NEG_INF:
-                    comps.append(post)
-                    lws.append(lw + ll)
             dens = moment_match(np.array(lws) - log_l, comps)
         else:
             r, dens = 0.0, None
@@ -313,9 +310,22 @@ class _UpdateWorkspace:
         self._own[cell] = out
         return out
 
+    def _own_updates(self, cell):
+        """Per-PPP-component log weights and posteriors for ``cell``, over
+        the components that can explain it."""
+        Zc = self.Z[list(cell)]
+        lws, comps = [], []
+        for lw, c in self._ppp_comps:
+            ll, post = self.model.detection_update(c, Zc)
+            if ll > NEG_INF:
+                lws.append(lw + ll)
+                comps.append(post)
+        return lws, comps
 
-def _enumerate_labelings(ws, g):
-    """Exhaustive association for one predicted global hypothesis.
+
+def _enumerate_labelings(ws, g, gated):
+    """Exhaustive association for one predicted global hypothesis with gate
+    table ``gated`` (``ws.gated_trees(g)``).
 
     Yields (src_cells, tree_cells, own_cells, log_factor) with cells as
     tuples of 0-based measurement indices; log_factor is the absolute
@@ -323,16 +333,14 @@ def _enumerate_labelings(ws, g):
     """
     m, n, n_src = ws.m, ws.n, len(ws.sources)
     options = []
-    for j in range(m):
+    for j, trees in enumerate(gated):
         opts = [("c", s) for s in range(n_src)]
-        for i in range(n):
-            a = g.berns[i]
-            if j in ws.gated_js(i, a):
-                # For the general model the per-measurement gate only
-                # shortlists; cell factors are evaluated on full cells.
-                if ws.point and ws.det_info(i, a, j)[0] == NEG_INF:
-                    continue
-                opts.append(("t", i))
+        for i in trees:
+            # For the general model the per-measurement gate only
+            # shortlists; cell factors are evaluated on full cells.
+            if ws.point and ws.det_info(i, g.berns[i], (j,))[0] == NEG_INF:
+                continue
+            opts.append(("t", i))
         if ws.point:
             if ws.own_entry((j,))[0] > NEG_INF:
                 opts.append(("own",))
@@ -370,8 +378,7 @@ def _enumerate_labelings(ws, g):
             if not cell:
                 base += ws.miss_info(i, a)[0]
             else:
-                fac, _ = ws.det_info(i, a, cell[0] if ws.point else cell)
-                base += fac
+                base += ws.det_info(i, a, cell)[0]
             cells_t.append(cell)
             if base == NEG_INF:
                 return
@@ -422,26 +429,22 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
     bootstrap = len(d.clutter_trees) != n_src
 
     ws = _UpdateWorkspace(d, Z, model, sources, ppp_c, cfg, k)
-    m, n = ws.m, ws.n
 
     # Gather associations per predicted global hypothesis.
     assoc = []  # (g_idx, src_cells, tree_cells, own_cells, log_w_unnorm)
     for g_idx, g in enumerate(d.globals_):
         if g.log_w == NEG_INF:
             continue
+        gated = ws.gated_trees(g)
         est = 1
-        for j in range(m):
-            cands = n_src + 1
-            for i in range(n):
-                if j in ws.gated_js(i, g.berns[i]):
-                    cands += 1
-            est *= cands
+        for trees in gated:
+            est *= n_src + 1 + len(trees)
             if est > cfg.exhaustive_limit:
                 break
         if not ws.point and est <= cfg.exhaustive_limit:
-            est *= bell(min(m, 20))
+            est *= bell(min(ws.m, 20))
         if est <= cfg.exhaustive_limit:
-            for src_cells, tree_cells, own_cells, w in _enumerate_labelings(ws, g):
+            for src_cells, tree_cells, own_cells, w in _enumerate_labelings(ws, g, gated):
                 assoc.append((g_idx, src_cells, tree_cells, own_cells, g.log_w + w))
         else:
             if not ws.point:
@@ -453,7 +456,7 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
                 raise SizeLimitError(
                     "multi-source association spaces must fit the exhaustive limit"
                 )
-            assoc.extend(_gibbs_associations(ws, g, g_idx, n_src, seed))
+            assoc.extend(_gibbs_associations(ws, g, g_idx, gated, n_src, seed))
     if not assoc:
         assoc = [_fallback_association(ws, d, n_src)]
         warnings.warn("no association had positive weight; forced all-clutter fallback")
@@ -461,27 +464,25 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
     return _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg)
 
 
-def _gibbs_associations(ws, g, g_idx, n_src, seed):
-    """Sampled associations for one predicted global hypothesis."""
+def _gibbs_associations(ws, g, g_idx, gated, n_src, seed):
+    """Sampled associations for one predicted global hypothesis with gate
+    table ``gated``."""
     m, n = ws.m, ws.n
+    miss = [ws.miss_info(i, a)[0] for i, a in enumerate(g.berns)]
+    if NEG_INF in miss:
+        raise NumericalError(
+            "a predicted hypothesis cannot miss; sampled association "
+            "requires positive miss weights"
+        )
     miss_base = 0.0
-    for i in range(n):
-        lf = ws.miss_info(i, g.berns[i])[0]
-        if lf == NEG_INF:
-            raise NumericalError(
-                "a predicted hypothesis cannot miss; sampled association "
-                "requires positive miss weights"
-            )
+    for lf in miss:
         miss_base += lf
     eta = np.full((m, n + m), NEG_INF)
-    for i in range(n):
-        a = g.berns[i]
-        lf = ws.miss_info(i, a)[0]
-        for j in ws.gated_js(i, a):
-            fac, _ = ws.det_info(i, a, j)
+    for j, trees in enumerate(gated):
+        for i in trees:
+            fac = ws.det_info(i, g.berns[i], (j,))[0]
             if fac > NEG_INF:
-                eta[j, i] = fac - lf
-    for j in range(m):
+                eta[j, i] = fac - miss[i]
         w = ws.own_entry((j,))[0]
         if w > NEG_INF:
             eta[j, n + j] = w
@@ -558,7 +559,7 @@ def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
             dens = parent.density if r_new > 0.0 else None
             hyp = LocalHypothesis(parent.log_w + log_fac, r_new, dens, parent.pairs, a)
         else:
-            fac, post = ws.det_info(i, a, cell[0] if ws.point else cell)
+            fac, post = ws.det_info(i, a, cell)
             pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell}
             if fac == NEG_INF:
                 hyp = LocalHypothesis(NEG_INF, 0.0, None, pairs, a)

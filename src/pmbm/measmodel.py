@@ -106,11 +106,7 @@ class ExtendedTargetModel:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[0] == 0 or self.sensor.pd == 0.0:
             return NEG_INF, None
-        log_lik = self._log_count_term(Z.shape[0])
-        for z in Z:
-            log_lik += gaussian_logpdf(
-                z, GaussianDensity(self.sensor.H @ d.mean, self.sensor.R)
-            )
+        log_lik = extended_set_density(self, Z, d).value
         post = d
         for z in Z:
             post, _ = kalman_update(post, self.sensor, z)

@@ -21,6 +21,7 @@ from pmbm.densities import (
     GaussianMixture,
     LinearGaussianMotion,
     LinearGaussianSensor,
+    ellipsoidal_gate,
     predicted_measurement_loglik,
 )
 from pmbm.errors import ConfigurationError
@@ -302,6 +303,20 @@ class TestUpdateMergedAndComposite:
         assert rs and all(0.0 < r < 1.0 for r in rs)
 
 
+def _gibbs_counter(monkeypatch):
+    from pmbm import filtering
+
+    calls = []
+    real_gibbs = filtering.run_gibbs
+
+    def counted_gibbs(*args, **kwargs):
+        calls.append(1)
+        return real_gibbs(*args, **kwargs)
+
+    monkeypatch.setattr(filtering, "run_gibbs", counted_gibbs)
+    return calls
+
+
 def _cached_clutter_case(regime, region, counting_clutter):
     """(unwrapped clutter, wrapped clutter, counter) for one regime whose
     sampler takes the general branch: no count table."""
@@ -321,8 +336,6 @@ class TestClutterCache:
     def test_each_subset_evaluated_once_per_update(
         self, regime, region, pos_sensor, cv_motion, counting_clutter, monkeypatch
     ):
-        from pmbm import filtering
-
         plain, wrapped, counter = _cached_clutter_case(regime, region, counting_clutter)
         model = PointTargetModel(pos_sensor)
         birth = GaussianMixture(
@@ -330,14 +343,7 @@ class TestClutterCache:
             [GaussianDensity(np.array([150.0, 0.0, 150.0, 0.0]), np.diag([2500.0, 1.0, 2500.0, 1.0]))],
         )
         cfg = FilterConfig(clutter_regime=regime, max_global_hyps=20, validate=True)
-        gibbs_calls = []
-        real_gibbs = filtering.run_gibbs
-
-        def counted_gibbs(*args, **kwargs):
-            gibbs_calls.append(1)
-            return real_gibbs(*args, **kwargs)
-
-        monkeypatch.setattr(filtering, "run_gibbs", counted_gibbs)
+        gibbs_calls = _gibbs_counter(monkeypatch)
         rng = np.random.default_rng(4)
         targets = np.array([[60.0, 1.0, 80.0, 0.0], [200.0, -1.0, 150.0, 1.0], [120.0, 0.0, 240.0, -1.0]])
         d_plain = d_wrapped = initial_density()
@@ -358,6 +364,68 @@ class TestClutterCache:
         # The sampler ran for several predicted global hypotheses of one scan,
         # so the cache was shared across them.
         assert shared > 1
+
+
+def multi_track_density(means, r=0.8, var=1.0):
+    """One Bernoulli track per mean, one global hypothesis, a broad PPP."""
+    trees = [
+        BernoulliTree(
+            [LocalHypothesis(0.0, r, GaussianDensity(np.array([mu]), np.array([[var]])), frozenset())],
+            ("birth", 0, i),
+        )
+        for i, mu in enumerate(means)
+    ]
+    ppp = GaussianMixture([0.0], [GaussianDensity(np.zeros(1), np.array([[400.0]]))])
+    return PmbmDensity(ppp, trees, [], [GlobalHypothesis(0.0, (), (0,) * len(means))], frozenset(), 0)
+
+
+class TestGateTable:
+    # With var 1 and R 1, S = 2, so gate 4 admits |z - mean| <= sqrt(8).
+    SCAN = np.array([[0.5], [50.0]])  # only the first point is in the track's gate
+
+    @pytest.mark.parametrize(
+        "regime, clutter, product",
+        [
+            ("arbitrary", nb_line_clutter(), 6),  # (1 source + 1 + 1 tree) x (1 + 1)
+            ("ppp-merged", PoissonClutter(2.0, LINE), 2),  # (0 + 1 + 1) x (0 + 1)
+        ],
+    )
+    def test_enumeration_size_counts_gated_trees_per_row(self, regime, clutter, product, monkeypatch):
+        calls = _gibbs_counter(monkeypatch)
+        d = multi_track_density([0.0])
+        model = PointTargetModel(scalar_sensor())
+        for limit, sampled in ((product, 0), (product - 1, 1)):
+            calls.clear()
+            cfg = FilterConfig(clutter_regime=regime, gate=4.0, exhaustive_limit=limit, validate=True)
+            update(d, self.SCAN, model, clutter, cfg)
+            assert len(calls) == sampled, limit
+
+    @pytest.mark.parametrize("limit", [10**6, 1])  # enumerated, sampled
+    def test_trees_take_only_gated_measurements(self, limit, monkeypatch):
+        calls = _gibbs_counter(monkeypatch)
+        sensor = scalar_sensor()
+        d = multi_track_density([0.0, 10.0, 20.0])
+        Z = np.array([[0.5], [3.5], [8.0], [13.5], [20.2], [23.0]])
+
+        def gate_breaches(gate):
+            cfg = FilterConfig(clutter_regime="arbitrary", gate=gate, exhaustive_limit=limit, validate=True)
+            out = update(d, Z, PointTargetModel(sensor), nb_line_clutter(), cfg)
+            breaches, given = 0, 0
+            for g in out.globals_:
+                for i, parent in enumerate(d.trees):
+                    hyp = out.trees[i].hyps[g.berns[i]]
+                    mask = ellipsoidal_gate(parent.hyps[hyp.parent].density, sensor, Z, 4.0)
+                    for pair in hyp.pairs:
+                        given += 1
+                        breaches += not mask[pair.j - 1]
+            return breaches, given
+
+        breaches, given = gate_breaches(4.0)
+        assert given > 0 and breaches == 0
+        assert len(calls) == (limit == 1)
+        # Without the gate the same scan does give trees outside measurements,
+        # so the check above has something to catch.
+        assert gate_breaches(1e12)[0] > 0
 
 
 def two_global_posterior():
