@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .clutter import poisson_nb_kld
-from .errors import ConfigurationError, NumericalError, SizeLimitError
+from .errors import PmbmError
 from .harness import (
     ALL_FILTERS,
     DEFAULT_FILTERS,
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, NumericalError, SizeLimitError, OSError) as exc:
+    except (PmbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

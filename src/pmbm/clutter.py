@@ -224,7 +224,7 @@ class ClutterSource:
 
     def log_density(self, Z) -> float:
         Z = _as_scan(Z)
-        return extended_set_density(self._model, Z, self.location).value
+        return extended_set_density(self._model, Z, self.location)
 
     def log_meas_density(self, Z) -> np.ndarray:
         """Per-measurement log N(z; location, cov)."""

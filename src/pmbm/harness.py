@@ -1,5 +1,12 @@
 """Simulation harness: scenario configuration, ground-truth and measurement
-sampling, Monte Carlo execution, metric aggregation, and file outputs.
+sampling, the filter step, Monte Carlo execution, metric aggregation, and
+file outputs.
+
+`filter_step` is the one place the recursion is written out: predict (with
+the multi-Bernoulli birth in mode "mbm"), update, reduce, the PMB projection
+in mode "pmb" and estimation. It looks the phases up as this module's
+globals at call time, so a patch of, say, `harness.predict` reaches every
+step. `run_trial` loops over it and scores each step with GOSPA.
 
 The default scenario is a 2-D constant-velocity tracking problem on a
 300 m x 300 m region with Poisson births and negative-binomial clutter.
@@ -309,6 +316,20 @@ def _mbm_birth(cfg: ScenarioConfig, k: int):
     return ((min(cfg.birth_weight, 1.0), dens),)
 
 
+def filter_step(d, scan, k: int, spec: FilterSpec, cfg: ScenarioConfig, model, motion, seed: int):
+    """One step of the recursion at scan k: predict, update, reduce, project
+    (mode "pmb") and estimate. Returns (density, estimated means)."""
+    if spec.filter_cfg.mode == "mbm":
+        d = predict(d, motion, GaussianMixture(), _mbm_birth(cfg, k))
+    else:
+        d = predict(d, motion, birth_mixture(cfg, k))
+    d = update(d, scan, model, spec.clutter, spec.filter_cfg, seed=seed)
+    d = reduce(d, spec.filter_cfg)
+    if spec.filter_cfg.mode == "pmb":
+        d = project_to_pmb(d)
+    return d, estimate(d, cfg.estimator, cfg.estimator_threshold)
+
+
 def run_trial(
     cfg: ScenarioConfig,
     spec: FilterSpec,
@@ -320,24 +341,14 @@ def run_trial(
     model = PointTargetModel(sensor_model(cfg))
     motion = motion_model(cfg)
     gcfg = GospaConfig(cfg.gospa_order, cfg.gospa_cutoff)
-    mbm_mode = spec.filter_cfg.mode == "mbm"
     d = initial_density()
     gospa_rows = []
     ms = []
     try:
         for k in range(1, cfg.steps + 1):
             t0 = time.perf_counter()
-            if mbm_mode:
-                d = predict(d, motion, GaussianMixture(), _mbm_birth(cfg, k))
-            else:
-                d = predict(d, motion, birth_mixture(cfg, k))
-            d = update(d, scans[k - 1], model, spec.clutter, spec.filter_cfg, seed=assoc_seed)
-            d = reduce(d, spec.filter_cfg)
-            if spec.filter_cfg.mode == "pmb":
-                d = project_to_pmb(d)
-            means = estimate(d, cfg.estimator, cfg.estimator_threshold)
-            points = [x[[0, 2]] for x in means]
-            res = gospa(points, truth.positions_at(k), gcfg)
+            d, means = filter_step(d, scans[k - 1], k, spec, cfg, model, motion, assoc_seed)
+            res = gospa([x[[0, 2]] for x in means], truth.positions_at(k), gcfg)
             gospa_rows.append((res.total, res.localization, res.missed, res.false_))
             ms.append((time.perf_counter() - t0) * 1000.0)
     except (PmbmError, np.linalg.LinAlgError) as exc:

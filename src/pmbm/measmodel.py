@@ -31,18 +31,6 @@ NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
-class LogSetDensity:
-    """Log value of a set density, with an approximation flag.
-
-    ``approximate`` is set when the value came from the at-mean
-    marginalization shortcut rather than an exact integral.
-    """
-
-    value: float
-    approximate: bool
-
-
-@dataclass(frozen=True)
 class PointTargetModel:
     """At most one measurement per scan: miss with 1-pd, else one detection."""
 
@@ -106,33 +94,27 @@ class ExtendedTargetModel:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[0] == 0 or self.sensor.pd == 0.0:
             return NEG_INF, None
-        log_lik = extended_set_density(self, Z, d).value
+        log_lik = extended_set_density(self, Z, d)
         post = d
         for z in Z:
             post, _ = kalman_update(post, self.sensor, z)
         return log_lik, post
 
 
-def extended_set_density(
-    model: ExtendedTargetModel, Z: np.ndarray, x
-) -> LogSetDensity:
+def extended_set_density(model: ExtendedTargetModel, Z: np.ndarray, x) -> float:
     """log f(Z|x) at a state, or log ⟨d, f(Z|·)⟩ at the mean of a density.
 
-    The density form is a zeroth-order approximation and is flagged as such.
+    The density form is a zeroth-order approximation: it evaluates the
+    state form at the density's mean.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float)) if np.size(Z) else np.zeros((0, model.sensor.meas_dim))
     if Z.shape[0] == 0:
-        return LogSetDensity(model.log_f_empty(), approximate=False)
-    if isinstance(x, GaussianDensity):
-        mean = x.mean
-        approximate = True
-    else:
-        mean = np.asarray(x, dtype=float)
-        approximate = False
+        return model.log_f_empty()
     if model.sensor.pd == 0.0:
-        return LogSetDensity(NEG_INF, approximate=approximate)
+        return NEG_INF
+    mean = x.mean if isinstance(x, GaussianDensity) else np.asarray(x, dtype=float)
     value = model._log_count_term(Z.shape[0])
     meas_density = GaussianDensity._trusted(model.sensor.H @ mean, model.sensor.R)
     for z in Z:
         value += gaussian_logpdf(z, meas_density)
-    return LogSetDensity(value, approximate=approximate)
+    return value

@@ -2,7 +2,9 @@
 
 import pytest
 
+from pmbm import cli
 from pmbm.cli import main
+from pmbm.errors import NumericalError, SizeLimitError
 
 
 def test_counts_single_value(capsys):
@@ -43,3 +45,13 @@ def test_bad_scenario_key_exits_one(tmp_path, capsys):
 def test_bad_subcommand_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("error", [NumericalError, SizeLimitError])
+def test_package_error_in_simulate_exits_one(monkeypatch, tmp_path, capsys, error):
+    def fails(*args, **kwargs):
+        raise error("no good")
+
+    monkeypatch.setattr(cli, "experiment", fails)
+    assert main(["simulate", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: no good\n"

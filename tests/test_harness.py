@@ -1,12 +1,15 @@
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from numpy.testing import assert_allclose
 
+from pmbm import harness
 from pmbm.clutter import ClutterSource, CompositeClutter, IidClusterClutter, PoissonClutter
 from pmbm.errors import ConfigurationError, NumericalError
 from pmbm.filtering import FilterConfig
@@ -359,6 +362,68 @@ class TestExperiment:
         assert rec.failed
         assert rec.error == "step 3: clutter refuses 3 points"
         assert len(rec.gospa) == 2
+
+
+class TestFilterStep:
+    """The phases are looked up as ``harness`` globals when a step runs, so
+    patching them there reaches every step."""
+
+    PHASES = ("predict", "update", "reduce", "project_to_pmb", "estimate")
+
+    def _trial(self, name):
+        truth = sample_ground_truth(TINY, truth_rng(TINY))
+        scans = sample_scans(truth, TINY, np.random.default_rng(7))
+        (spec,) = filter_bank(TINY, (name,))
+        return run_trial(TINY, spec, truth, scans, 0, assoc_seed=3)
+
+    @pytest.mark.parametrize("name", ["pmb", "pmbm", "mbm"])
+    def test_each_phase_runs_once_per_step(self, monkeypatch, name):
+        calls = []
+
+        def counting(phase):
+            inner = getattr(harness, phase)
+
+            def wrapper(*args, **kwargs):
+                calls.append((phase, args))
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for phase in self.PHASES:
+            monkeypatch.setattr(harness, phase, counting(phase))
+        rec = self._trial(name)
+        assert not rec.failed
+        per_step = [p for p in self.PHASES if name == "pmb" or p != "project_to_pmb"]
+        assert [phase for phase, _ in calls] == per_step * TINY.steps
+        predicts = [args for phase, args in calls if phase == "predict"]
+        if name == "mbm":
+            _, _, birth, bernoulli = predicts[0]
+            assert len(birth.log_w) == 0
+            assert len(bernoulli) > 0
+            assert all(0.0 < r <= 1.0 for r, _ in bernoulli)
+        else:
+            assert all(len(args) == 3 and len(args[2].log_w) == 1 for args in predicts)
+
+    def test_foreign_exception_from_phase_propagates(self, monkeypatch):
+        # Only package errors become failed runs; anything else (such as a
+        # patched phase that stops the run on purpose) reaches the caller.
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(harness, "predict", stop)
+        with pytest.raises(Stop):
+            self._trial("pmbm")
+
+    def test_readme_library_block_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Library use"):]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(code, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"step {k}" for k in range(1, 6)]
 
 
 class TestOutputs:

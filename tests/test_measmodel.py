@@ -81,13 +81,16 @@ class TestExtendedModel:
         meas = GaussianDensity(sensor.H @ x, sensor.R)
         want = math.log(0.9) + 2.0 * math.log(5.0) - 5.0
         want += sum(gaussian_logpdf(z, meas) for z in Z)
-        assert_allclose(got.value, want, atol=1e-12)
-        assert not got.approximate
+        assert_allclose(got, want, atol=1e-12)
 
-    def test_density_argument_flagged_approximate(self):
+    def test_density_argument_evaluates_state_form_at_mean(self):
+        # zeroth-order marginalization: the density's covariance plays no part
         model = ExtendedTargetModel(scalar_model().sensor, 2.0)
-        got = extended_set_density(model, np.array([[0.0]]), _prior())
-        assert got.approximate
+        Z = np.array([[0.0], [1.1]])
+        state_form = extended_set_density(model, Z, np.array([0.7]))
+        for cov in (0.5, 3.0):
+            d = GaussianDensity(np.array([0.7]), np.array([[cov]]))
+            assert extended_set_density(model, Z, d) == state_form
 
     @given(pd=st.floats(0.01, 1.0), rate=st.floats(0.01, 10.0))
     @settings(max_examples=50, deadline=None)
