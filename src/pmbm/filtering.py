@@ -16,9 +16,10 @@ regimes:
 
 Association work per predicted global hypothesis is delegated either to
 exhaustive enumeration (small problems, or whenever the model demands it)
-or to the Gibbs sampler.  Sizing, enumeration options and the sampler's
-eta rows all read one gate table per predicted global hypothesis
-(``_UpdateWorkspace.gated_trees``): per measurement, the trees that gate it.
+or to the Gibbs sampler.  Sizing and enumeration options read one gate table
+per predicted global hypothesis (``_UpdateWorkspace.gated_trees``): per
+measurement, the trees that gate it.  The sampler's eta table is scattered
+from per-scan entries of each predicted local hypothesis and of new tracks.
 """
 
 from __future__ import annotations
@@ -206,6 +207,7 @@ class _UpdateWorkspace:
         self._miss = {}
         self._rows = {}
         self._det = {}
+        self._eta, self._own_eta = {}, None
         self.src = [ClutterCache(c, Z) for c in sources]
         self._own = {}
         self._ppp_comps = [
@@ -247,24 +249,48 @@ class _UpdateWorkspace:
             self._miss[key] = out
         return out
 
+    def gated_rows(self, i, a):
+        """Ascending measurement indices that predicted local hypothesis
+        (i, a) gates, computed once per scan."""
+        js = self._rows.get((i, a))
+        if js is None:
+            h = self.d.trees[i].hyps[a]
+            if h.r == 0.0 or self.m == 0:
+                js = []
+            else:
+                mask = ellipsoidal_gate(h.density, self.model.sensor, self.Z, self.cfg.gate)
+                js = np.flatnonzero(mask).tolist()
+            self._rows[(i, a)] = js
+        return js
+
     def gated_trees(self, g):
         """Gate table of predicted global hypothesis g: entry j lists, in
-        ascending order, the trees whose hypothesis in g gates measurement j.
-        Each predicted local hypothesis (i, a) is gated once per scan."""
+        ascending order, the trees whose hypothesis in g gates measurement j."""
         rows = [[] for _ in range(self.m)]
         for i, a in enumerate(g.berns):
-            js = self._rows.get((i, a))
-            if js is None:
-                h = self.d.trees[i].hyps[a]
-                if h.r == 0.0 or self.m == 0:
-                    js = []
-                else:
-                    mask = ellipsoidal_gate(h.density, self.model.sensor, self.Z, self.cfg.gate)
-                    js = np.flatnonzero(mask).tolist()
-                self._rows[(i, a)] = js
-            for j in js:
+            for j in self.gated_rows(i, a):
                 rows[j].append(i)
         return rows
+
+    def eta_entries(self, i, a):
+        """(flat position, value) of tree i's finite entries under hypothesis
+        a in the sampler's (m, n+m) eta table: on each gated row, detection
+        minus miss factor."""
+        out = self._eta.get((i, a))
+        if out is None:
+            log_miss, stride = self.miss_info(i, a)[0], self.n + self.m
+            facs = [(j, self.det_info(i, a, (j,))[0]) for j in self.gated_rows(i, a)]
+            out = self._eta[(i, a)] = [(j * stride + i, f - log_miss) for j, f in facs if f > NEG_INF]
+        return out
+
+    def own_eta(self):
+        """(flat position, value) of the eta table's finite new-track entries
+        (row j, column n+j), shared by every hypothesis of the scan."""
+        if self._own_eta is None:
+            stride = self.n + self.m + 1
+            own = [(j * stride + self.n, self.own_entry((j,))[0]) for j in range(self.m)]
+            self._own_eta = [e for e in own if e[1] > NEG_INF]
+        return self._own_eta
 
     def det_info(self, i, a, cell):
         """Detection factor and posterior for tree i, hypothesis a and a cell
@@ -456,7 +482,7 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
                 raise SizeLimitError(
                     "multi-source association spaces must fit the exhaustive limit"
                 )
-            assoc.extend(_gibbs_associations(ws, g, g_idx, gated, n_src, seed))
+            assoc.extend(_gibbs_associations(ws, g, g_idx, n_src, seed))
     if not assoc:
         assoc = [_fallback_association(ws, d, n_src)]
         warnings.warn("no association had positive weight; forced all-clutter fallback")
@@ -464,9 +490,8 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
     return _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg)
 
 
-def _gibbs_associations(ws, g, g_idx, gated, n_src, seed):
-    """Sampled associations for one predicted global hypothesis with gate
-    table ``gated``."""
+def _gibbs_associations(ws, g, g_idx, n_src, seed):
+    """Sampled associations for one predicted global hypothesis."""
     m, n = ws.m, ws.n
     miss = [ws.miss_info(i, a)[0] for i, a in enumerate(g.berns)]
     if NEG_INF in miss:
@@ -477,15 +502,10 @@ def _gibbs_associations(ws, g, g_idx, gated, n_src, seed):
     miss_base = 0.0
     for lf in miss:
         miss_base += lf
-    eta = np.full((m, n + m), NEG_INF)
-    for j, trees in enumerate(gated):
-        for i in trees:
-            fac = ws.det_info(i, g.berns[i], (j,))[0]
-            if fac > NEG_INF:
-                eta[j, i] = fac - miss[i]
-        w = ws.own_entry((j,))[0]
-        if w > NEG_INF:
-            eta[j, n + j] = w
+    entries = ws.own_eta() + [e for i, a in enumerate(g.berns) for e in ws.eta_entries(i, a)]
+    eta = np.full(m * (n + m), NEG_INF)
+    eta[[f for f, _ in entries]] = [v for _, v in entries]
+    eta = eta.reshape(m, n + m)
     clutter, cache = (ws.sources[0], ws.src[0]) if n_src else (None, None)
     problem = AssociationProblem(eta, clutter, ws.Z, n, cache)
     w_norm = math.exp(min(g.log_w, 0.0))

@@ -31,7 +31,9 @@ once (``ClutterCache.count_table``), so once per scan in the filter update.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import logsumexp
@@ -191,15 +193,34 @@ def gibbs_conditional(p: AssociationProblem, gamma, q: int) -> np.ndarray:
     return out / out.sum()
 
 
+def _start(p: AssociationProblem):
+    """All-new-track without a clutter column, else all-clutter.  On the
+    general branch, if all-clutter has zero weight (a point outside the
+    clutter region, say), each measurement takes its own track, else its
+    highest free tree, else clutter; None if that has zero weight too."""
+    m, n = p.m, p.n
+    if p.clutter is None:
+        return [n + j + 1 for j in range(m)]
+    if p._fast is not None or p.cache(tuple(range(m))) > NEG_INF:
+        return [0] * m
+    gamma = []
+    for cands in p._row_cands:
+        gamma.append(next((v for v, _ in reversed(cands) if v not in gamma), 0))
+    return gamma if assoc_log_weight(p, gamma) > NEG_INF else None
+
+
 def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = False):
     """Systematic-scan Gibbs sampling of association vectors.
 
-    Starts from the all-clutter vector (all-new-track when there is no
-    clutter column), sweeps coordinates q = 1..m for ``sweeps`` rounds and
-    records the state after every sweep.  Each coordinate is drawn by
-    inverse CDF from ``_candidates``.  Returns the unique recorded vectors
-    in first-visit order with their unnormalized log weights; with
-    ``collect_counts`` also returns a visit-count dict.
+    Starts from ``_start(p)`` (no association when that is None), sweeps
+    coordinates q = 1..m for ``sweeps`` rounds and records the state after
+    every sweep.  Each coordinate is drawn by inverse CDF from the output of
+    ``_candidates``, built once per call for each key of what it depends on:
+    q, which of row q's tree candidates the other coordinates take, and
+    their clutter count (count table) or clutter set (general branch).
+    Returns the unique recorded vectors in first-visit order with their
+    unnormalized log weights; with ``collect_counts`` also returns a
+    visit-count dict.
     """
     if sweeps < 1:
         raise ConfigurationError("sweeps must be >= 1")
@@ -211,37 +232,37 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
         return ([empty], {(): sweeps}) if collect_counts else [empty]
 
     n = p.n
-    gamma = [n + j + 1 for j in range(m)] if p.clutter is None else [0] * m
-    taken = set()
-    mc = gamma.count(0)
+    gamma = _start(p)
+    if gamma is None:
+        return ([], {}) if collect_counts else []
+    # One bit per clutter coordinate (bit j) and per taken tree (bit m + v).
+    allc = (1 << m) - 1
+    state = sum(1 << (m + v if v else j) for j, v in enumerate(gamma) if v <= n)
+    general = allc if p.clutter is not None and p._fast is None else 0
+    keymask = [general | sum(1 << (m + v) for v, _ in c if v <= n) for c in p._row_cands]
+    memo = {}
     recorded: dict[tuple, int] = {}
     for urow in rng.random((sweeps, m)).tolist():
-        for q in range(m):
+        for q, u in enumerate(urow):
             old = gamma[q]
-            if old == 0:
-                mc -= 1
-            elif old <= n:
-                taken.discard(old)
-            vals, lws = _candidates(p, gamma, q, taken, mc)
-            if not vals:
-                raise NumericalError(
-                    f"Gibbs conditional has no support at coordinate {q}"
-                )
-            top = max(lws)
-            weights = [math.exp(w - top) for w in lws]
-            target = urow[q] * math.fsum(weights)
-            acc = 0.0
-            new = vals[-1]
-            for v, w in zip(vals, weights):
-                acc += w
-                if target < acc:
-                    new = v
-                    break
-            gamma[q] = new
-            if new == 0:
-                mc += 1
-            elif new <= n:
-                taken.add(new)
+            if old <= n:
+                state ^= 1 << (m + old if old else q)
+            key = (q, (state & allc).bit_count(), state & keymask[q])
+            entry = memo.get(key)
+            if entry is None:
+                taken = {v for v, _ in p._row_cands[q] if state >> (m + v) & 1}
+                vals, lws = _candidates(p, gamma, q, taken, key[1])
+                if not vals:
+                    raise NumericalError(f"Gibbs conditional has no support at coordinate {q}")
+                top = max(lws)
+                weights = [math.exp(w - top) for w in lws]
+                # u * total past the last cumulative weight draws the last value.
+                cum = list(accumulate(weights))
+                entry = memo[key] = (vals + vals[-1:], cum, math.fsum(weights))
+            vals, cum, total = entry
+            new = gamma[q] = vals[bisect_right(cum, u * total)]
+            if new <= n:
+                state ^= 1 << (m + new if new else q)
         key = tuple(gamma)
         recorded[key] = recorded.get(key, 0) + 1
     out = [(g, assoc_log_weight(p, g)) for g in recorded]

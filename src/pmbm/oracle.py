@@ -518,7 +518,8 @@ def check_composite(seed=0, trials=60):
 
 def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     """Sampler conditionals vs direct ratios (exact) and long-run visit
-    frequencies vs exhaustive enumeration (total variation)."""
+    frequencies vs exhaustive enumeration (total variation) on each sampler
+    branch: count table (NB), general (opaque Poisson density) and merged."""
     rng = np.random.default_rng(seed)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     fails = []
@@ -526,7 +527,7 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     def build_problem(clutter_kind, n, m):
         d = _random_density(rng, n)
         model = _random_model(rng, "point")
-        clutter = _random_clutter(rng, clutter_kind, region)
+        clutter = _random_clutter(rng, clutter_kind, region) if clutter_kind else None
         Z = _random_scan(rng, d, m, region)
         g = d.globals_[0]
         log_f0 = model.log_f_empty()
@@ -564,23 +565,26 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
             if not np.allclose(dist, direct, atol=1e-12):
                 fails.append(f"conditional mismatch ({kind}, t={t}, q={q})")
             gamma[q] = int(rng.choice(len(dist), p=dist))
-    # Long-run frequencies on a fixed mid-size problem.
-    p = build_problem("nb", 2, 3)
-    vectors, log_ws = enumerate_associations(p, include_zero_weight=False)
-    target = {tuple(v): math.exp(lw) for v, lw in zip(vectors, log_ws)}
-    samples, counts = run_gibbs(p, sweeps, np.random.default_rng(seed + 1), collect_counts=True)
-    total = sum(counts.values())
-    tv = 0.0
-    for v, prob in target.items():
-        tv += abs(prob - counts.get(v, 0) / total)
-    for v in counts:
-        if v not in target:
-            fails.append(f"sampled vector outside the valid set: {v}")
-    tv += sum(counts[v] / total for v in counts if v not in target)
-    tv *= 0.5
-    if tv > tv_bound:
-        fails.append(f"total variation {tv:.4f} exceeds bound {tv_bound}")
-    report = f"gibbs oracle: tv={tv:.4f} over {len(target)} associations, {len(fails)} failures"
+    # Long-run frequencies on fixed mid-size problems, one per branch.
+    tvs = []
+    for i, (kind, branch) in enumerate((("nb", "count-table"), ("ppp", "general"), (None, "merged"))):
+        p = build_problem(kind, 2, 3)
+        vectors, log_ws = enumerate_associations(p, include_zero_weight=False)
+        target = {tuple(v): math.exp(lw) for v, lw in zip(vectors, log_ws)}
+        samples, counts = run_gibbs(p, sweeps, np.random.default_rng(seed + 1 + i), collect_counts=True)
+        total = sum(counts.values())
+        tv = 0.0
+        for v, prob in target.items():
+            tv += abs(prob - counts.get(v, 0) / total)
+        for v in counts:
+            if v not in target:
+                fails.append(f"sampled vector outside the valid set: {v}")
+        tv += sum(counts[v] / total for v in counts if v not in target)
+        tv *= 0.5
+        if tv > tv_bound:
+            fails.append(f"{branch} total variation {tv:.4f} exceeds bound {tv_bound}")
+        tvs.append(f"{branch} tv={tv:.4f} over {len(target)} associations")
+    report = f"gibbs oracle: {', '.join(tvs)}, {len(fails)} failures"
     if fails:
         report += "\n" + "\n".join(fails[:10])
     return (not fails), report

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
+from pmbm import gibbs
 from pmbm.clutter import IidClusterClutter, PoissonClutter, Region, nb_from_mean_dispersion
 from pmbm.errors import ConfigurationError, NumericalError
 from pmbm.gibbs import (
     AssociationProblem,
+    _start,
     assoc_log_weight,
     enumerate_associations,
     gibbs_conditional,
@@ -278,18 +282,35 @@ def _problem_for_branch(branch, seed):
     return base
 
 
-def _replay(p, sweeps, seed):
+def _replay(p, sweeps, seed, visits=None):
     """Unique states of ``sweeps`` sweeps drawn coordinate by coordinate
-    from ``gibbs_conditional`` by inverse CDF, with the uniforms run_gibbs
-    reads, in first-visit order."""
-    gamma = [0] * p.m if p.clutter is not None else [p.n + j + 1 for j in range(p.m)]
+    from ``gibbs_conditional`` by inverse CDF, with the sampler's start and
+    the uniforms run_gibbs reads, in first-visit order.  ``visits``, if
+    given, collects (q, state) before every draw."""
+    gamma = _start(p)
+    if gamma is None:
+        return []
     seen = {}
     for urow in np.random.default_rng(seed).random((sweeps, p.m)):
         for q, u in enumerate(urow):
+            if visits is not None:
+                visits.append((q, tuple(gamma)))
             cdf = np.cumsum(gibbs_conditional(p, gamma, q))
             gamma[q] = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
         seen.setdefault(tuple(gamma), None)
     return list(seen)
+
+
+def _dependency_key(p, q, gamma):
+    """What the conditional of coordinate q depends on: which of row q's
+    candidate trees the other coordinates take, and their clutter count
+    (count table) or clutter set (general branch)."""
+    others = [v for j, v in enumerate(gamma) if j != q]
+    taken = frozenset(v for v, _ in p._row_cands[q] if v <= p.n and v in others)
+    if p.clutter is None:
+        return q, taken
+    clutter = frozenset(j for j, v in enumerate(gamma) if j != q and v == 0)
+    return q, taken, len(clutter) if p._fast is not None else clutter
 
 
 class TestSamplerRunsCheckedConditional:
@@ -302,3 +323,91 @@ class TestSamplerRunsCheckedConditional:
         got = [g for g, _ in run_gibbs(p, 40, np.random.default_rng(seed))]
         assert len(got) > 1
         assert got == _replay(p, 40, seed)
+
+    @pytest.mark.parametrize("branch", ["count-table", "general", "merged"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_conditional_built_once_per_dependency_key(self, branch, seed, monkeypatch):
+        """run_gibbs builds a conditional exactly once for each distinct key
+        of what it depends on along the trajectory: fewer builds would reuse
+        one across states it differs on, more would rebuild one it has."""
+        p = _problem_for_branch(branch, seed)
+        calls, inner = [], gibbs._candidates
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(gibbs, "_candidates", counting)
+        run_gibbs(p, 40, np.random.default_rng(seed))
+        monkeypatch.undo()
+        visits = []
+        _replay(p, 40, seed, visits)
+        keys = {_dependency_key(p, q, gamma) for q, gamma in visits}
+        assert len(keys) < len(visits) // 2
+        assert len(calls) == len(keys)
+
+
+REGION_OUT = Region((2.0, 2.0), (8.0, 8.0))
+
+
+@st.composite
+def problems(draw):
+    """Small problems on every sampler branch, with -inf eta entries and
+    measurements outside the clutter region."""
+    branch = draw(st.sampled_from(["count-table", "general", "merged"]))
+    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eta = np.where(rng.random((m, n)) < draw(st.sampled_from([0.0, 0.4])), NEG_INF,
+                   rng.normal(size=(m, n)))
+    own = np.where(rng.random(m) < draw(st.sampled_from([0.0, 0.3])), NEG_INF, rng.normal(size=m))
+    log_eta = np.hstack([eta, np.full((m, m), NEG_INF)])
+    log_eta[np.arange(m), n + np.arange(m)] = own
+    Z = rng.uniform(0.0, 10.0, (m, 2))
+    clutter = {
+        "count-table": IidClusterClutter(nb_from_mean_dispersion(3.0, 4.0), REGION_OUT),
+        "general": PoissonClutter(draw(st.sampled_from([0.0, 3.0])), REGION_OUT),
+        "merged": None,
+    }[branch]
+    return AssociationProblem(log_eta, clutter, Z, n)
+
+
+class TestSamplerProperties:
+    @given(p=problems(), sweeps=st.integers(1, 25), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_run_gibbs_replays_through_conditional(self, p, sweeps, seed):
+        try:
+            got = run_gibbs(p, sweeps, np.random.default_rng(seed))
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                _replay(p, sweeps, seed)
+            return
+        assert [g for g, _ in got] == _replay(p, sweeps, seed)
+        assert all(lw > NEG_INF for _, lw in got)
+
+
+class TestStart:
+    def _general(self, eta, Z):
+        return AssociationProblem(np.array(eta), PoissonClutter(3.0, REGION10), np.array(Z), 1)
+
+    def test_zero_weight_all_clutter_moves_to_own_track_then_tree(self):
+        # Measurement 0 lies outside the region; its own track is impossible,
+        # so it starts on the tree and measurement 1 on its own track.
+        p = self._general([[0.5, NEG_INF, NEG_INF], [0.1, NEG_INF, 0.2]], [[-5.0, 1.0], [3.0, 3.0]])
+        assert _start(p) == [1, 3]
+        assert all(g[0] != 0 for g, _ in run_gibbs(p, 50, np.random.default_rng(0)))
+
+    def test_no_positive_start_returns_no_association(self):
+        p = self._general([[NEG_INF, NEG_INF, NEG_INF], [0.1, NEG_INF, 0.2]], [[-5.0, 1.0], [3.0, 3.0]])
+        assert _start(p) is None
+        assert run_gibbs(p, 10, np.random.default_rng(0)) == []
+        assert run_gibbs(p, 10, np.random.default_rng(0), collect_counts=True) == ([], {})
+
+    def test_count_table_keeps_all_clutter_start(self):
+        # The count-table conditional reads only the clutter count, so the
+        # chain leaves an all-clutter start of zero weight by itself.
+        base = small_problem(n=1, m=3)
+        Z = np.vstack([[-5.0, 1.0], base.Z[1:]])
+        p = AssociationProblem(base.log_eta, base.clutter, Z, 1)
+        assert p._fast[1] == [False, True, True]
+        assert _start(p) == [0, 0, 0]
+        assert all(g[0] != 0 for g, _ in run_gibbs(p, 20, np.random.default_rng(0)))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -321,6 +322,32 @@ class TestExperiment:
         assert rec.error.startswith("step ")
         with pytest.raises(NumericalError):
             aggregate_metrics([rec])
+
+    @pytest.mark.parametrize(
+        "name,mean,outside",
+        [("a-pmbm", 3.0, True), ("a-pmb", 3.0, True), ("mbm", 3.0, True),
+         ("a-pmbm", 0.0, False), ("a-pmb", 0.0, False), ("mbm", 0.0, False)],
+    )
+    def test_sampled_scan_that_cannot_be_all_clutter_runs(self, name, mean, outside):
+        # Under an opaque Poisson clutter density, a point outside the region
+        # or a zero clutter mean gives the all-clutter association zero
+        # weight, so the sampler must start elsewhere.  Where no association
+        # has positive weight the update takes the forced fallback: mbm has
+        # no new tracks from a Poisson birth, and too few birth Bernoullis.
+        cfg = replace(TINY, steps=3, runs=1, clutter_family="poisson", clutter_mean=mean)
+        truth = sample_ground_truth(cfg, truth_rng(cfg))
+        if outside:
+            scans = sample_scans(truth, cfg, np.random.default_rng(4))
+            scans = [np.vstack([z, [[-50.0, 10.0]]]) for z in scans]
+        else:
+            scans = [np.random.default_rng(k).uniform(100.0, 200.0, (7, 2)) for k in range(3)]
+        (spec,) = filter_bank(cfg, (name,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = run_trial(cfg, spec, truth, scans, 0, assoc_seed=2)
+        assert not rec.failed, rec.error
+        fallbacks = [w for w in caught if "forced all-clutter fallback" in str(w.message)]
+        assert bool(fallbacks) == (name == "mbm")
 
     def test_size_limit_failure_is_recorded(self):
         # Composite clutter evaluated as an opaque density is guarded at 12
