@@ -16,14 +16,18 @@ regimes:
 
 Association work per predicted global hypothesis is delegated either to
 exhaustive enumeration (small problems, or whenever the model demands it)
-or to the Gibbs sampler.  Sizing and enumeration options read one gate table
-per predicted global hypothesis (``_UpdateWorkspace.gated_trees``): per
-measurement, the trees that gate it.  The sampler's eta table is scattered
-from per-scan entries of each predicted local hypothesis and of new tracks.
+or to the Gibbs sampler.  Each predicted local hypothesis (i, a) has one
+per-scan record, ``_UpdateWorkspace.local(i, a)``: its miss factor and
+existence, the measurements it gates and, for the point model, its entries
+in the sampler's eta table.  The gate table that sizing and enumeration
+options read, the eta table and hypothesis assembly all come from it.  A
+new track's weight is shared per scan; its posterior is built only for the
+cells some association uses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -167,294 +171,29 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
         if not isinstance(clutter, PoissonClutter):
             raise ConfigurationError("ppp-merged regime needs a PoissonClutter model")
         sources, ppp_c = [], clutter
-    return _engine(d, Z, model, sources, ppp_c, cfg, seed)
-
-
-def _subset_partitions(items: tuple):
-    """All partitions of ``items`` into non-empty cells."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in _subset_partitions(rest):
-        yield part + ((first,),)
-        for i, cell in enumerate(part):
-            yield part[:i] + (cell + (first,),) + part[i + 1 :]
-
-
-class _UpdateWorkspace:
-    """Per-scan caches shared across predicted global hypotheses.
-
-    ``src[s]`` is the scan's only evaluator of clutter source s; every
-    reader of c_s(cell) goes through it.
-    """
-
-    def __init__(self, d, Z, model, sources, ppp_c, cfg, k):
-        self.d = d
-        self.Z = Z
-        self.model = model
-        self.sources = sources
-        self.cfg = cfg
-        self.k = k
-        self.m = Z.shape[0]
-        self.n = len(d.trees)
-        self.point = model.max_subset == 1
-        self.log_f0 = model.log_f_empty()
-        self.f0 = math.exp(self.log_f0) if self.log_f0 > NEG_INF else 0.0
-        self.log_lam = (
-            ppp_c.log_intensity(Z).tolist() if ppp_c is not None else None
-        )
-        self._miss = {}
-        self._rows = {}
-        self._det = {}
-        self._eta, self._own_eta = {}, None
-        self.src = [ClutterCache(c, Z) for c in sources]
-        self._own = {}
-        self._ppp_comps = [
-            (lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF
-        ]
-        if self.point:
-            self._precompute_own_point()
-
-    def _precompute_own_point(self):
-        m = self.m
-        sensor = self.model.sensor
-        if m == 0 or not self._ppp_comps or sensor.pd == 0.0:
-            self._own_l = [NEG_INF] * m
-        else:
-            rows = np.array(
-                [
-                    lw + math.log(sensor.pd) + predicted_measurement_loglik(c, sensor, self.Z)
-                    for lw, c in self._ppp_comps
-                ]
-            )
-            self._own_l = logsumexp(rows, axis=0).tolist()
-        self._own_w = list(self._own_l)
-        if self.log_lam is not None:
-            self._own_w = [
-                float(np.logaddexp(lam, l)) for lam, l in zip(self.log_lam, self._own_l)
-            ]
-
-    # -- per-tree factors ------------------------------------------------
-
-    def miss_info(self, i, a):
-        key = (i, a)
-        out = self._miss.get(key)
-        if out is None:
-            h = self.d.trees[i].hyps[a]
-            fac = 1.0 - h.r + h.r * self.f0
-            log_fac = math.log(fac) if fac > 0.0 else NEG_INF
-            r_new = h.r * self.f0 / fac if fac > 0.0 else 0.0
-            out = (log_fac, r_new)
-            self._miss[key] = out
-        return out
-
-    def gated_rows(self, i, a):
-        """Ascending measurement indices that predicted local hypothesis
-        (i, a) gates, computed once per scan."""
-        js = self._rows.get((i, a))
-        if js is None:
-            h = self.d.trees[i].hyps[a]
-            if h.r == 0.0 or self.m == 0:
-                js = []
-            else:
-                mask = ellipsoidal_gate(h.density, self.model.sensor, self.Z, self.cfg.gate)
-                js = np.flatnonzero(mask).tolist()
-            self._rows[(i, a)] = js
-        return js
-
-    def gated_trees(self, g):
-        """Gate table of predicted global hypothesis g: entry j lists, in
-        ascending order, the trees whose hypothesis in g gates measurement j."""
-        rows = [[] for _ in range(self.m)]
-        for i, a in enumerate(g.berns):
-            for j in self.gated_rows(i, a):
-                rows[j].append(i)
-        return rows
-
-    def eta_entries(self, i, a):
-        """(flat position, value) of tree i's finite entries under hypothesis
-        a in the sampler's (m, n+m) eta table: on each gated row, detection
-        minus miss factor."""
-        out = self._eta.get((i, a))
-        if out is None:
-            log_miss, stride = self.miss_info(i, a)[0], self.n + self.m
-            facs = [(j, self.det_info(i, a, (j,))[0]) for j in self.gated_rows(i, a)]
-            out = self._eta[(i, a)] = [(j * stride + i, f - log_miss) for j, f in facs if f > NEG_INF]
-        return out
-
-    def own_eta(self):
-        """(flat position, value) of the eta table's finite new-track entries
-        (row j, column n+j), shared by every hypothesis of the scan."""
-        if self._own_eta is None:
-            stride = self.n + self.m + 1
-            own = [(j * stride + self.n, self.own_entry((j,))[0]) for j in range(self.m)]
-            self._own_eta = [e for e in own if e[1] > NEG_INF]
-        return self._own_eta
-
-    def det_info(self, i, a, cell):
-        """Detection factor and posterior for tree i, hypothesis a and a cell
-        (tuple of measurement indices)."""
-        key = (i, a, cell)
-        out = self._det.get(key)
-        if out is None:
-            h = self.d.trees[i].hyps[a]
-            if h.r == 0.0:
-                out = (NEG_INF, None)
-            else:
-                ll, post = self.model.detection_update(h.density, self.Z[list(cell)])
-                fac = math.log(h.r) + ll if ll > NEG_INF and h.r > 0 else NEG_INF
-                out = (fac, post)
-            self._det[key] = out
-        return out
-
-    # -- new tracks from the PPP intensity --------------------------------
-
-    def own_entry(self, cell):
-        """(total log weight, log target likelihood, existence, density) of
-        the potential track born from measurement cell (tuple of indices)."""
-        out = self._own.get(cell)
-        if out is not None:
-            return out
-        lws = None
-        if self.point and len(cell) == 1:
-            log_l, log_w = self._own_l[cell[0]], self._own_w[cell[0]]
-        else:
-            lws, comps = self._own_updates(cell)
-            log_l = float(logsumexp(lws)) if lws else NEG_INF
-            log_w = log_l
-            if self.log_lam is not None and len(cell) == 1:
-                log_w = float(np.logaddexp(self.log_lam[cell[0]], log_l))
-        if log_w > NEG_INF and log_l > NEG_INF:
-            if lws is None:
-                lws, comps = self._own_updates(cell)
-            r = math.exp(log_l - log_w)
-            dens = moment_match(np.array(lws) - log_l, comps)
-        else:
-            r, dens = 0.0, None
-        out = (log_w, log_l, r, dens)
-        self._own[cell] = out
-        return out
-
-    def _own_updates(self, cell):
-        """Per-PPP-component log weights and posteriors for ``cell``, over
-        the components that can explain it."""
-        Zc = self.Z[list(cell)]
-        lws, comps = [], []
-        for lw, c in self._ppp_comps:
-            ll, post = self.model.detection_update(c, Zc)
-            if ll > NEG_INF:
-                lws.append(lw + ll)
-                comps.append(post)
-        return lws, comps
-
-
-def _enumerate_labelings(ws, g, gated):
-    """Exhaustive association for one predicted global hypothesis with gate
-    table ``gated`` (``ws.gated_trees(g)``).
-
-    Yields (src_cells, tree_cells, own_cells, log_factor) with cells as
-    tuples of 0-based measurement indices; log_factor is the absolute
-    this-scan factor (clutter, miss/detection and new-track terms).
-    """
-    m, n, n_src = ws.m, ws.n, len(ws.sources)
-    options = []
-    for j, trees in enumerate(gated):
-        opts = [("c", s) for s in range(n_src)]
-        for i in trees:
-            # For the general model the per-measurement gate only
-            # shortlists; cell factors are evaluated on full cells.
-            if ws.point and ws.det_info(i, g.berns[i], (j,))[0] == NEG_INF:
-                continue
-            opts.append(("t", i))
-        if ws.point:
-            if ws.own_entry((j,))[0] > NEG_INF:
-                opts.append(("own",))
-        else:
-            opts.append(("own",))
-        options.append(opts)
-
-    def assemble(labels):
-        src_cells = [[] for _ in range(n_src)]
-        tree_cells = {}
-        own_pool = []
-        for j, lab in enumerate(labels):
-            if lab[0] == "c":
-                src_cells[lab[1]].append(j)
-            elif lab[0] == "t":
-                tree_cells.setdefault(lab[1], []).append(j)
-            else:
-                own_pool.append(j)
-        if ws.point:
-            own_splits = [tuple((j,) for j in own_pool)]
-        else:
-            own_splits = [
-                tuple(sorted(tuple(sorted(cell)) for cell in part))
-                for part in _subset_partitions(tuple(own_pool))
-            ]
-        base = 0.0
-        for s in range(n_src):
-            base += ws.src[s](tuple(src_cells[s]))
-            if base == NEG_INF:
-                return
-        cells_t = []
-        for i in range(n):
-            a = g.berns[i]
-            cell = tuple(tree_cells.get(i, ()))
-            if not cell:
-                base += ws.miss_info(i, a)[0]
-            else:
-                base += ws.det_info(i, a, cell)[0]
-            cells_t.append(cell)
-            if base == NEG_INF:
-                return
-        for split in own_splits:
-            w = base
-            for cell in split:
-                w += ws.own_entry(cell)[0]
-                if w == NEG_INF:
-                    break
-            if w > NEG_INF:
-                yield (
-                    tuple(tuple(c) for c in src_cells),
-                    tuple(cells_t),
-                    split,
-                    w,
-                )
-
-    def product(j, labels):
-        if j == m:
-            yield from assemble(labels)
-            return
-        for lab in options[j]:
-            if lab[0] == "t" and ws.point:
-                if any(l2 == lab for l2 in labels):
-                    continue
-            yield from product(j + 1, labels + [lab])
-
-    yield from product(0, [])
-
-
-def _engine(d, Z, model, sources, ppp_c, cfg, seed):
     Z = np.asarray(Z, dtype=float)
     if Z.size == 0:
         Z = Z.reshape(0, model.sensor.meas_dim)
     Z = np.atleast_2d(Z)
     if Z.shape[1] != model.sensor.meas_dim:
         raise ConfigurationError("scan dimension does not match the sensor")
-    k = d.step + 1
     n_src = len(sources)
-    if len(d.clutter_trees) == n_src:
-        ctrees = d.clutter_trees
-    elif not d.clutter_trees:
-        ctrees = [ClutterTree([ClutterLocalHypothesis(0.0, frozenset())]) for _ in range(n_src)]
-    else:
+    if n_src and not d.clutter_trees:
+        # First update under a clutter-tree regime: one empty clutter tree
+        # per source, selected by every global hypothesis.
+        d = replace(
+            d,
+            clutter_trees=[
+                ClutterTree([ClutterLocalHypothesis(0.0, frozenset())]) for _ in range(n_src)
+            ],
+            globals_=[GlobalHypothesis(g.log_w, (0,) * n_src, g.berns) for g in d.globals_],
+        )
+    elif len(d.clutter_trees) != n_src:
         raise ConfigurationError(
             f"density has {len(d.clutter_trees)} clutter trees, regime needs {n_src}"
         )
-    bootstrap = len(d.clutter_trees) != n_src
 
-    ws = _UpdateWorkspace(d, Z, model, sources, ppp_c, cfg, k)
+    ws = _UpdateWorkspace(d, Z, model, sources, ppp_c, cfg, d.step + 1)
 
     # Gather associations per predicted global hypothesis.
     assoc = []  # (g_idx, src_cells, tree_cells, own_cells, log_w_unnorm)
@@ -482,30 +221,270 @@ def _engine(d, Z, model, sources, ppp_c, cfg, seed):
                 raise SizeLimitError(
                     "multi-source association spaces must fit the exhaustive limit"
                 )
-            assoc.extend(_gibbs_associations(ws, g, g_idx, n_src, seed))
+            assoc.extend(_gibbs_associations(ws, g, g_idx, seed))
     if not assoc:
         assoc = [_fallback_association(ws, d, n_src)]
         warnings.warn("no association had positive weight; forced all-clutter fallback")
 
-    return _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg)
+    return _assemble(ws, assoc)
 
 
-def _gibbs_associations(ws, g, g_idx, n_src, seed):
+def _subset_partitions(items: tuple):
+    """All partitions of ``items`` into non-empty cells."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in _subset_partitions(rest):
+        yield part + ((first,),)
+        for i, cell in enumerate(part):
+            yield part[:i] + (cell + (first,),) + part[i + 1 :]
+
+
+class _UpdateWorkspace:
+    """Per-scan records shared across predicted global hypotheses.
+
+    ``local(i, a)`` is the record of predicted local hypothesis (i, a),
+    ``det_info`` its detection factor per cell, and ``own_weight`` /
+    ``own_track`` the weight and posterior of a new track per cell.
+    ``src[s]`` is the scan's only evaluator of clutter source s; every
+    reader of c_s(cell) goes through it.
+    """
+
+    def __init__(self, d, Z, model, sources, ppp_c, cfg, k):
+        self.d = d
+        self.Z = Z
+        self.model = model
+        self.sources = sources
+        self.cfg = cfg
+        self.k = k
+        self.m = Z.shape[0]
+        self.n = len(d.trees)
+        self.point = model.max_subset == 1
+        self.log_f0 = model.log_f_empty()
+        self.f0 = math.exp(self.log_f0) if self.log_f0 > NEG_INF else 0.0
+        self.log_lam = (
+            ppp_c.log_intensity(Z).tolist() if ppp_c is not None else None
+        )
+        self._local, self._det, self._own = {}, {}, {}
+        self.src = [ClutterCache(c, Z) for c in sources]
+        self._ppp_comps = [
+            (lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF
+        ]
+        if self.point:
+            self._precompute_own_point()
+
+    def _precompute_own_point(self):
+        """Point model: the new-track column ``own_col`` (log weight of the
+        track born from each measurement) and its target part ``_own_l``."""
+        m = self.m
+        sensor = self.model.sensor
+        if m == 0 or not self._ppp_comps or sensor.pd == 0.0:
+            self._own_l = [NEG_INF] * m
+        else:
+            rows = np.array(
+                [
+                    lw + math.log(sensor.pd) + predicted_measurement_loglik(c, sensor, self.Z)
+                    for lw, c in self._ppp_comps
+                ]
+            )
+            self._own_l = logsumexp(rows, axis=0).tolist()
+        self.own_col = list(self._own_l)
+        if self.log_lam is not None:
+            self.own_col = [
+                float(np.logaddexp(lam, l)) for lam, l in zip(self.log_lam, self._own_l)
+            ]
+
+    # -- per-tree factors ------------------------------------------------
+
+    def local(self, i, a):
+        """(log miss factor, existence after a miss, ascending gated rows,
+        point-model (j, detection - miss) pairs of the gated rows with a
+        finite detection factor) of predicted local hypothesis (i, a),
+        built once per scan."""
+        rec = self._local.get((i, a))
+        if rec is None:
+            h = self.d.trees[i].hyps[a]
+            fac = 1.0 - h.r + h.r * self.f0
+            log_miss = math.log(fac) if fac > 0.0 else NEG_INF
+            r_miss = h.r * self.f0 / fac if fac > 0.0 else 0.0
+            rows, eta = [], []
+            if h.r > 0.0 and self.m:
+                mask = ellipsoidal_gate(h.density, self.model.sensor, self.Z, self.cfg.gate)
+                rows = np.flatnonzero(mask).tolist()
+            if self.point:
+                facs = [(j, self.det_info(i, a, (j,))[0]) for j in rows]
+                eta = [(j, f - log_miss) for j, f in facs if f > NEG_INF]
+            rec = self._local[(i, a)] = (log_miss, r_miss, rows, eta)
+        return rec
+
+    def gated_trees(self, g):
+        """Gate table of predicted global hypothesis g: entry j lists, in
+        ascending order, the trees whose hypothesis in g gates measurement j."""
+        rows = [[] for _ in range(self.m)]
+        for i, a in enumerate(g.berns):
+            for j in self.local(i, a)[2]:
+                rows[j].append(i)
+        return rows
+
+    def det_info(self, i, a, cell):
+        """Detection factor and posterior for tree i, hypothesis a and a cell
+        (tuple of measurement indices)."""
+        key = (i, a, cell)
+        out = self._det.get(key)
+        if out is None:
+            h = self.d.trees[i].hyps[a]
+            if h.r == 0.0:
+                out = (NEG_INF, None)
+            else:
+                ll, post = self.model.detection_update(h.density, self.Z[list(cell)])
+                fac = math.log(h.r) + ll if ll > NEG_INF and h.r > 0 else NEG_INF
+                out = (fac, post)
+            self._det[key] = out
+        return out
+
+    # -- new tracks from the PPP intensity --------------------------------
+
+    def own_weight(self, cell):
+        """Total log weight of the potential track born from measurement
+        cell (tuple of indices)."""
+        return self.own_col[cell[0]] if self.point else self._own_general(cell)[0]
+
+    def own_track(self, cell):
+        """Existence and moment-matched density of the potential track born
+        from ``cell``; built only for cells an association uses."""
+        if self.point:
+            log_w, log_l = self.own_col[cell[0]], self._own_l[cell[0]]
+            lws, comps = self._own_updates(cell) if log_l > NEG_INF else ([], [])
+        else:
+            log_w, log_l, lws, comps = self._own_general(cell)
+        if log_w == NEG_INF or log_l == NEG_INF:
+            return 0.0, None
+        return math.exp(log_l - log_w), moment_match(np.array(lws) - log_l, comps)
+
+    def _own_general(self, cell):
+        """General model: (log weight, log target likelihood, component log
+        weights, component posteriors) of ``cell``, once per scan."""
+        out = self._own.get(cell)
+        if out is None:
+            lws, comps = self._own_updates(cell)
+            log_l = float(logsumexp(lws)) if lws else NEG_INF
+            log_w = log_l
+            if self.log_lam is not None and len(cell) == 1:
+                log_w = float(np.logaddexp(self.log_lam[cell[0]], log_l))
+            out = self._own[cell] = (log_w, log_l, lws, comps)
+        return out
+
+    def _own_updates(self, cell):
+        """Per-PPP-component log weights and posteriors for ``cell``, over
+        the components that can explain it."""
+        Zc = self.Z[list(cell)]
+        lws, comps = [], []
+        for lw, c in self._ppp_comps:
+            ll, post = self.model.detection_update(c, Zc)
+            if ll > NEG_INF:
+                lws.append(lw + ll)
+                comps.append(post)
+        return lws, comps
+
+
+def _enumerate_labelings(ws, g, gated):
+    """Exhaustive association for one predicted global hypothesis with gate
+    table ``gated`` (``ws.gated_trees(g)``).
+
+    Yields (src_cells, tree_cells, own_cells, log_factor) with cells as
+    tuples of 0-based measurement indices; log_factor is the absolute
+    this-scan factor (clutter, miss/detection and new-track terms).
+    """
+    n, n_src = ws.n, len(ws.sources)
+    options = []
+    for j, trees in enumerate(gated):
+        opts = [("c", s) for s in range(n_src)]
+        for i in trees:
+            # For the general model the per-measurement gate only
+            # shortlists; cell factors are evaluated on full cells.
+            if ws.point and ws.det_info(i, g.berns[i], (j,))[0] == NEG_INF:
+                continue
+            opts.append(("t", i))
+        if not ws.point or ws.own_weight((j,)) > NEG_INF:
+            opts.append(("own",))
+        options.append(opts)
+
+    def assemble(labels):
+        src_cells = [[] for _ in range(n_src)]
+        tree_cells = {}
+        own_pool = []
+        for j, lab in enumerate(labels):
+            if lab[0] == "c":
+                src_cells[lab[1]].append(j)
+            elif lab[0] == "t":
+                tree_cells.setdefault(lab[1], []).append(j)
+            else:
+                own_pool.append(j)
+        if ws.point:
+            if any(len(js) > 1 for js in tree_cells.values()):
+                return  # one measurement per tree
+            own_splits = [tuple((j,) for j in own_pool)]
+        else:
+            own_splits = [
+                tuple(sorted(tuple(sorted(cell)) for cell in part))
+                for part in _subset_partitions(tuple(own_pool))
+            ]
+        base = 0.0
+        for s in range(n_src):
+            base += ws.src[s](tuple(src_cells[s]))
+            if base == NEG_INF:
+                return
+        cells_t = []
+        for i in range(n):
+            a = g.berns[i]
+            cell = tuple(tree_cells.get(i, ()))
+            if not cell:
+                base += ws.local(i, a)[0]
+            else:
+                base += ws.det_info(i, a, cell)[0]
+            cells_t.append(cell)
+            if base == NEG_INF:
+                return
+        for split in own_splits:
+            w = base
+            for cell in split:
+                w += ws.own_weight(cell)
+                if w == NEG_INF:
+                    break
+            if w > NEG_INF:
+                yield (
+                    tuple(tuple(c) for c in src_cells),
+                    tuple(cells_t),
+                    split,
+                    w,
+                )
+
+    # itertools.product keeps the first row outermost.
+    for labels in itertools.product(*options):
+        yield from assemble(labels)
+
+
+def _gibbs_associations(ws, g, g_idx, seed):
     """Sampled associations for one predicted global hypothesis."""
-    m, n = ws.m, ws.n
-    miss = [ws.miss_info(i, a)[0] for i, a in enumerate(g.berns)]
-    if NEG_INF in miss:
+    m, n, n_src = ws.m, ws.n, len(ws.sources)
+    locs = [ws.local(i, a) for i, a in enumerate(g.berns)]
+    if any(loc[0] == NEG_INF for loc in locs):
         raise NumericalError(
             "a predicted hypothesis cannot miss; sampled association "
             "requires positive miss weights"
         )
     miss_base = 0.0
-    for lf in miss:
-        miss_base += lf
-    entries = ws.own_eta() + [e for i, a in enumerate(g.berns) for e in ws.eta_entries(i, a)]
-    eta = np.full(m * (n + m), NEG_INF)
-    eta[[f for f, _ in entries]] = [v for _, v in entries]
-    eta = eta.reshape(m, n + m)
+    for loc in locs:
+        miss_base += loc[0]
+    # Flat positions in the (m, n+m) eta table: tree i's entry on row j is
+    # j*(n+m)+i, and the new-track diagonal (row j, column n+j) has stride n+m+1.
+    stride = n + m
+    entries = [(j * (stride + 1) + n, w) for j, w in enumerate(ws.own_col)]
+    entries += [(j * stride + i, v) for i, loc in enumerate(locs) for j, v in loc[3]]
+    eta = np.full(m * stride, NEG_INF)
+    eta[[p for p, _ in entries]] = [v for _, v in entries]
+    eta = eta.reshape(m, stride)
     clutter, cache = (ws.sources[0], ws.src[0]) if n_src else (None, None)
     problem = AssociationProblem(eta, clutter, ws.Z, n, cache)
     w_norm = math.exp(min(g.log_w, 0.0))
@@ -546,22 +525,21 @@ def _fallback_association(ws, d, n_src):
     return (g_idx, src_cells, ((),) * n, own_cells, 0.0)
 
 
-def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
-    k, m, n = ws.k, ws.m, ws.n
+def _assemble(ws, assoc):
+    d, k, m, n, n_src = ws.d, ws.k, ws.m, ws.n, len(ws.sources)
     # Deterministic ordering for measurement-born trees.
     own_keys = sorted({cell for item in assoc for cell in item[3]})
     own_index = {cell: n + rank for rank, cell in enumerate(own_keys)}
 
-    new_trees = [
-        BernoulliTree(
-            [LocalHypothesis(0.0, 0.0, None, frozenset())], ("meas", k, tuple(j + 1 for j in cell))
-        )
-        for cell in own_keys
-    ]
-    for cell, tree in zip(own_keys, new_trees):
-        log_w, _, r, dens = ws.own_entry(cell)
+    new_trees = []
+    for cell in own_keys:
+        r, dens = ws.own_track(cell)
         pairs = frozenset(MeasurementPair(k, j + 1) for j in cell)
-        tree.hyps.append(LocalHypothesis(log_w, r, dens, pairs))
+        hyps = [
+            LocalHypothesis(0.0, 0.0, None, frozenset()),
+            LocalHypothesis(ws.own_weight(cell), r, dens, pairs),
+        ]
+        new_trees.append(BernoulliTree(hyps, ("meas", k, tuple(j + 1 for j in cell))))
 
     upd_trees = [BernoulliTree([], t.origin) for t in d.trees] + new_trees
     upd_ctrees = [ClutterTree([]) for _ in range(n_src)]
@@ -575,9 +553,9 @@ def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
             return idx
         parent = d.trees[i].hyps[a]
         if not cell:
-            log_fac, r_new = ws.miss_info(i, a)
-            dens = parent.density if r_new > 0.0 else None
-            hyp = LocalHypothesis(parent.log_w + log_fac, r_new, dens, parent.pairs, a)
+            log_miss, r_miss = ws.local(i, a)[:2]
+            dens = parent.density if r_miss > 0.0 else None
+            hyp = LocalHypothesis(parent.log_w + log_miss, r_miss, dens, parent.pairs, a)
         else:
             fac, post = ws.det_info(i, a, cell)
             pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell}
@@ -595,7 +573,7 @@ def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
         idx = src_child.get(key)
         if idx is not None:
             return idx
-        parent = ctrees[s].hyps[a]
+        parent = d.clutter_trees[s].hyps[a]
         fac = ws.src[s](cell)
         pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell}
         hyp = ClutterLocalHypothesis(parent.log_w + fac, pairs, a)
@@ -607,9 +585,8 @@ def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
     globals_ = []
     for g_idx, src_cells, tree_cells, own_cells, log_w in assoc:
         g = d.globals_[g_idx]
-        cl_parents = g.clutter if not bootstrap else (0,) * n_src
         clutter_sel = tuple(
-            src_hyp_index(s, cl_parents[s], src_cells[s]) for s in range(n_src)
+            src_hyp_index(s, g.clutter[s], src_cells[s]) for s in range(n_src)
         )
         bern_sel = [0] * len(upd_trees)
         for i in range(n):
@@ -635,7 +612,7 @@ def _assemble(d, ws, ctrees, bootstrap, assoc, n_src, cfg):
         universe=universe,
         step=k,
     )
-    if cfg.validate:
+    if ws.cfg.validate:
         for g in out.globals_:
             if not validate_global(g, out.trees, out.clutter_trees, out.universe):
                 raise AssertionError("update produced an invalid global hypothesis")
@@ -697,85 +674,47 @@ def reduce(d: PmbmDensity, cfg: FilterConfig) -> PmbmDensity:
     logs = np.array([g.log_w for g in globals_])
     logs = logs - logsumexp(logs)
 
-    # Drop local hypotheses no surviving global references; remap indices.
-    tree_maps = []
-    trees = []
+    # Local hypotheses some surviving global references, per tree.  A tree
+    # whose best used existence is below threshold goes, and its measurement
+    # pairs are erased everywhere to keep partitions exact.
+    used = [sorted({g.berns[i] for g in globals_}) for i in range(len(d.trees))]
+    cused = [sorted({g.clutter[s] for g in globals_}) for s in range(len(d.clutter_trees))]
+    kept, erased = [], set()
     for i, tree in enumerate(d.trees):
-        used = sorted({g.berns[i] for g in globals_})
-        tree_maps.append({a: x for x, a in enumerate(used)})
-        trees.append(BernoulliTree([tree.hyps[a] for a in used], tree.origin))
-    ctree_maps = []
-    ctrees = []
-    for s, tree in enumerate(d.clutter_trees):
-        used = sorted({g.clutter[s] for g in globals_})
-        ctree_maps.append({a: x for x, a in enumerate(used)})
-        ctrees.append(ClutterTree([tree.hyps[a] for a in used]))
-    globals_ = [
-        GlobalHypothesis(
-            float(lw),
-            tuple(ctree_maps[s][a] for s, a in enumerate(g.clutter)),
-            tuple(tree_maps[i][a] for i, a in enumerate(g.berns)),
-        )
-        for lw, g in zip(logs, globals_)
-    ]
+        hyps = [tree.hyps[a] for a in used[i]]
+        if max(h.r for h in hyps) < cfg.bern_prune:
+            erased.update(p for h in hyps for p in h.pairs)
+        else:
+            kept.append(i)
 
-    # Garbage-collect trees whose best existence is below threshold; their
-    # measurement pairs are erased everywhere to keep partitions exact.
-    drop = [
-        i
-        for i, tree in enumerate(trees)
-        if max(h.r for h in tree.hyps) < cfg.bern_prune
+    def strip(h):
+        return replace(h, pairs=h.pairs - erased) if h.pairs & erased else h
+
+    trees = [
+        BernoulliTree([strip(d.trees[i].hyps[a]) for a in used[i]], d.trees[i].origin)
+        for i in kept
     ]
-    if drop:
-        erased = frozenset().union(*(h.pairs for i in drop for h in trees[i].hyps))
-        kept_idx = [i for i in range(len(trees)) if i not in set(drop)]
-        trees = [
-            BernoulliTree(
-                [
-                    replace(h, pairs=h.pairs - erased) if h.pairs & erased else h
-                    for h in trees[i].hyps
-                ],
-                trees[i].origin,
-            )
-            for i in kept_idx
-        ]
-        ctrees = [
-            ClutterTree(
-                [
-                    replace(h, pairs=h.pairs - erased) if h.pairs & erased else h
-                    for h in tree.hyps
-                ]
-            )
-            for tree in ctrees
-        ]
-        universe = d.universe - erased
-        globals_ = [
-            GlobalHypothesis(g.log_w, g.clutter, tuple(g.berns[i] for i in kept_idx))
-            for g in globals_
-        ]
-    else:
-        universe = d.universe
+    ctrees = [
+        ClutterTree([strip(tree.hyps[a]) for a in cused[s]])
+        for s, tree in enumerate(d.clutter_trees)
+    ]
+    maps = [{a: x for x, a in enumerate(u)} for u in used]
+    cmaps = [{a: x for x, a in enumerate(u)} for u in cused]
 
     # Removing tree columns can make hypotheses indistinguishable: merge.
     merged: dict[tuple, float] = {}
-    order2: list[tuple] = []
-    for g in globals_:
-        key = (g.clutter, g.berns)
-        if key in merged:
-            merged[key] = float(np.logaddexp(merged[key], g.log_w))
-        else:
-            merged[key] = g.log_w
-            order2.append(key)
-    globals_ = [GlobalHypothesis(merged[key], key[0], key[1]) for key in order2]
-    logs = np.array([g.log_w for g in globals_])
+    for lw, g in zip(logs, globals_):
+        key = (
+            tuple(cmaps[s][a] for s, a in enumerate(g.clutter)),
+            tuple(maps[i][g.berns[i]] for i in kept),
+        )
+        merged[key] = float(np.logaddexp(merged[key], lw)) if key in merged else float(lw)
+    logs = np.array(list(merged.values()))
     logs = logs - logsumexp(logs)
-    globals_ = [
-        GlobalHypothesis(float(lw), g.clutter, g.berns)
-        for lw, g in zip(logs, globals_)
-    ]
+    globals_ = [GlobalHypothesis(float(lw), c, b) for (c, b), lw in zip(merged, logs)]
 
     ppp = d.ppp.pruned(math.log(cfg.ppp_prune))
-    return PmbmDensity(ppp, trees, ctrees, globals_, universe, d.step)
+    return PmbmDensity(ppp, trees, ctrees, globals_, d.universe - erased, d.step)
 
 
 def estimate(d: PmbmDensity, method: str = "map-cardinality", threshold: float = 0.4):

@@ -85,35 +85,30 @@ class ExtendedTargetModel:
     def detection_update(
         self, d: GaussianDensity, Z: np.ndarray
     ) -> tuple[float, GaussianDensity | None]:
-        """At-mean subset likelihood and the sequential-update posterior.
+        """Exact subset likelihood ⟨d, f(Z|·)⟩ and the matching posterior.
 
-        The likelihood evaluates every measurement density at the prior mean
-        (zeroth-order marginalization); the posterior itself is the exact
-        sequence of Kalman updates.
+        The likelihood is the count term plus the predictive log-likelihoods
+        of the sequential Kalman updates that also give the posterior.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[0] == 0 or self.sensor.pd == 0.0:
             return NEG_INF, None
-        log_lik = extended_set_density(self, Z, d)
-        post = d
+        log_lik, post = self._log_count_term(Z.shape[0]), d
         for z in Z:
-            post, _ = kalman_update(post, self.sensor, z)
+            post, ll = kalman_update(post, self.sensor, z)
+            log_lik += ll
         return log_lik, post
 
 
 def extended_set_density(model: ExtendedTargetModel, Z: np.ndarray, x) -> float:
-    """log f(Z|x) at a state, or log ⟨d, f(Z|·)⟩ at the mean of a density.
-
-    The density form is a zeroth-order approximation: it evaluates the
-    state form at the density's mean.
-    """
+    """log f(Z|x) at state x."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float)) if np.size(Z) else np.zeros((0, model.sensor.meas_dim))
     if Z.shape[0] == 0:
         return model.log_f_empty()
     if model.sensor.pd == 0.0:
         return NEG_INF
-    mean = x.mean if isinstance(x, GaussianDensity) else np.asarray(x, dtype=float)
     value = model._log_count_term(Z.shape[0])
+    mean = np.asarray(x, dtype=float)
     meas_density = GaussianDensity._trusted(model.sensor.H @ mean, model.sensor.R)
     for z in Z:
         value += gaussian_logpdf(z, meas_density)

@@ -290,6 +290,26 @@ class TestUpdateMergedAndComposite:
         with pytest.raises(ConfigurationError):
             update(ppp_only_density(), np.zeros((0, 1)), PointTargetModel(scalar_sensor()), PoissonClutter(1.0, LINE), cfg)
 
+    @pytest.mark.parametrize("regime", ["composite", "ppp-merged"])
+    def test_clutter_tree_count_must_match_regime(self, regime):
+        # One clutter tree, against the two a two-source composite needs and
+        # the none ppp-merged needs.
+        src = ClutterSource(np.array([5.0]), 0.8, 1.0, np.array([[1.0]]))
+        ppp_c = PoissonClutter(2.0, LINE)
+        clutter = CompositeClutter(ppp_c, (src, src)) if regime == "composite" else ppp_c
+        d = ppp_only_density()
+        d = PmbmDensity(
+            d.ppp,
+            [],
+            [ClutterTree([ClutterLocalHypothesis(0.0, frozenset())])],
+            [GlobalHypothesis(0.0, (0,), ())],
+            frozenset(),
+            0,
+        )
+        cfg = FilterConfig(clutter_regime=regime)
+        with pytest.raises(ConfigurationError, match="clutter trees"):
+            update(d, np.array([[0.5]]), PointTargetModel(scalar_sensor()), clutter, cfg)
+
     def test_composite_tracks_one_history_per_source(self):
         src = ClutterSource(np.array([5.0]), 0.8, 1.0, np.array([[1.0]]))
         clutter = CompositeClutter(PoissonClutter(2.0, LINE), (src,))
@@ -434,6 +454,37 @@ def two_global_posterior():
     return update(d, np.array([[0.5]]), PointTargetModel(scalar_sensor()), nb_line_clutter(), cfg)
 
 
+class TestNewTrackPosteriors:
+    def test_sampled_update_builds_only_used_new_track_posteriors(self, monkeypatch):
+        from pmbm import filtering
+
+        matched = []
+        real_match = filtering.moment_match
+
+        def counted_match(*args, **kwargs):
+            matched.append(1)
+            return real_match(*args, **kwargs)
+
+        monkeypatch.setattr(filtering, "moment_match", counted_match)
+        calls = _gibbs_counter(monkeypatch)
+        # A sure, tight track owns the point at 0; the intensity gives that
+        # point a finite but negligible new-track weight, and strongly
+        # covers the point at 50.
+        ppp = GaussianMixture(
+            [-30.0, 2.0],
+            [GaussianDensity(np.zeros(1), np.array([[400.0]])), GaussianDensity(np.array([50.0]), np.eye(1))],
+        )
+        d = multi_track_density([0.0], r=0.99, var=0.1)
+        d = PmbmDensity(ppp, d.trees, d.clutter_trees, d.globals_, d.universe, d.step)
+        Z = np.array([[0.0], [50.0]])
+        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=1, validate=True)
+        out = update(d, Z, PointTargetModel(scalar_sensor()), nb_line_clutter(), cfg)
+        born = [t.origin for t in out.trees if t.origin[0] == "meas"]
+        assert len(calls) == 1
+        assert born == [("meas", 1, (2,))]
+        assert len(matched) == len(born)
+
+
 class TestReduce:
     def test_identity_when_thresholds_loose(self):
         d = two_global_posterior()
@@ -494,6 +545,41 @@ class TestReduce:
         assert len(out.trees) == 1
         assert out.universe == frozenset({p1})
         assert validate_global(out.globals_[0], out.trees, out.clutter_trees, out.universe)
+
+    def test_weak_tree_pair_erased_from_clutter_hypotheses(self):
+        # g0 gives p2 to the weak tree; g1 declares p2 clutter.  Dropping the
+        # weak tree erases p2 from g1's clutter hypothesis as well.
+        dens = GaussianDensity(np.zeros(1), np.eye(1))
+        p1, p2 = MeasurementPair(1, 1), MeasurementPair(1, 2)
+        strong = BernoulliTree([LocalHypothesis(0.0, 0.9, dens, {p1})], ("meas", 1, (1,)))
+        weak = BernoulliTree(
+            [LocalHypothesis(0.0, 0.0, None, frozenset()), LocalHypothesis(0.0, 1e-7, dens, {p2})],
+            ("meas", 1, (2,)),
+        )
+        ctree = ClutterTree(
+            [ClutterLocalHypothesis(0.0, frozenset()), ClutterLocalHypothesis(0.0, frozenset({p2}))]
+        )
+        d = PmbmDensity(
+            ppp=GaussianMixture(),
+            trees=[strong, weak],
+            clutter_trees=[ctree],
+            globals_=[
+                GlobalHypothesis(math.log(0.6), (0,), (0, 1)),
+                GlobalHypothesis(math.log(0.4), (1,), (0, 0)),
+            ],
+            universe=frozenset({p1, p2}),
+            step=1,
+        )
+        for g in d.globals_:
+            assert validate_global(g, d.trees, d.clutter_trees, d.universe)
+        out = reduce(d, FilterConfig(bern_prune=1e-5))
+        assert len(out.trees) == 1
+        assert out.universe == frozenset({p1})
+        assert [h.pairs for h in out.clutter_trees[0].hyps] == [frozenset(), frozenset()]
+        assert [g.clutter for g in out.globals_] == [(0,), (1,)]
+        assert_allclose(np.exp(global_weights(out)), [0.6, 0.4], rtol=1e-12)
+        for g in out.globals_:
+            assert validate_global(g, out.trees, out.clutter_trees, out.universe)
 
     def test_indistinguishable_globals_merge(self):
         dens = GaussianDensity(np.zeros(1), np.eye(1))

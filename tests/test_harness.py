@@ -71,6 +71,9 @@ class TestScenarioConfig:
             {"truth_mode": "sometimes"},
             {"runs": 0},
             {"region_hi": (0.0, 300.0)},
+            {"meas_noise": 0.0},
+            {"accel_noise": 0.0},
+            {"dt": -1.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

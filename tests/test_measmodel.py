@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
+from scipy.stats import multivariate_normal
 
 from pmbm.densities import GaussianDensity, LinearGaussianSensor, gaussian_logpdf
 from pmbm.errors import ConfigurationError
@@ -83,14 +84,24 @@ class TestExtendedModel:
         want += sum(gaussian_logpdf(z, meas) for z in Z)
         assert_allclose(got, want, atol=1e-12)
 
-    def test_density_argument_evaluates_state_form_at_mean(self):
-        # zeroth-order marginalization: the density's covariance plays no part
-        model = ExtendedTargetModel(scalar_model().sensor, 2.0)
-        Z = np.array([[0.0], [1.1]])
-        state_form = extended_set_density(model, Z, np.array([0.7]))
-        for cov in (0.5, 3.0):
-            d = GaussianDensity(np.array([0.7]), np.array([[cov]]))
-            assert extended_set_density(model, Z, d) == state_form
+    @pytest.mark.parametrize("n_points", [2, 3])
+    def test_likelihood_is_joint_gaussian_closed_form(self, n_points):
+        # <p, f(W|.)> = count term + log N(vec W; 1 (x) Hm, 11' (x) HPH' + I (x) R)
+        H = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        R = np.array([[0.5, 0.1], [0.1, 0.8]])
+        model = ExtendedTargetModel(LinearGaussianSensor(H, R, 0.8), 3.0)
+        P = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 1.5]])
+        d = GaussianDensity(np.array([0.3, -1.0, 2.0]), P)
+        W = np.array([[0.0, 1.5], [1.2, 2.4], [-0.7, 3.1]])[:n_points]
+        ones = np.ones((n_points, 1))
+        mean = np.kron(ones, (H @ d.mean)[:, None]).ravel()
+        cov = np.kron(ones @ ones.T, H @ P @ H.T) + np.kron(np.eye(n_points), R)
+        want = math.log(0.8) + n_points * math.log(3.0) - 3.0
+        want += multivariate_normal(mean, cov).logpdf(W.ravel())
+        got = model.detection_update(d, W)[0]
+        assert_allclose(got, want, rtol=0, atol=1e-10)
+        # The state form at the prior mean ignores P and misses by far more.
+        assert abs(extended_set_density(model, W, d.mean) - want) > 0.1
 
     @given(pd=st.floats(0.01, 1.0), rate=st.floats(0.01, 10.0))
     @settings(max_examples=50, deadline=None)
