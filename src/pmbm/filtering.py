@@ -18,11 +18,11 @@ Association work per predicted global hypothesis is delegated either to
 exhaustive enumeration (small problems, or whenever the model demands it)
 or to the Gibbs sampler.  Each predicted local hypothesis (i, a) has one
 per-scan record, ``_UpdateWorkspace.local(i, a)``: its miss factor and
-existence, the measurements it gates and, for the point model, its entries
-in the sampler's eta table.  The gate table that sizing and enumeration
-options read, the eta table and hypothesis assembly all come from it.  A
-new track's weight is shared per scan; its posterior is built only for the
-cells some association uses.
+existence, the measurements it gates and, for the point model, its
+(measurement, eta) pairs, which the sampler reads as they are.  The gate
+table that sizing and enumeration options read, the sampler's input and
+hypothesis assembly all come from it.  A new track's weight is shared per
+scan; its posterior is built only for the cells some association uses.
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
     Z = np.atleast_2d(Z)
     if Z.shape[1] != model.sensor.meas_dim:
         raise ConfigurationError("scan dimension does not match the sensor")
+    if not np.isfinite(Z).all():
+        raise ConfigurationError("scan holds a non-finite value")
     n_src = len(sources)
     if n_src and not d.clutter_trees:
         # First update under a clutter-tree regime: one empty clutter tree
@@ -200,7 +202,8 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
     for g_idx, g in enumerate(d.globals_):
         if g.log_w == NEG_INF:
             continue
-        gated = ws.gated_trees(g)
+        locs = [ws.local(i, a) for i, a in enumerate(g.berns)]
+        gated = ws.gated_trees(locs)
         est = 1
         for trees in gated:
             est *= n_src + 1 + len(trees)
@@ -221,7 +224,7 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
                 raise SizeLimitError(
                     "multi-source association spaces must fit the exhaustive limit"
                 )
-            assoc.extend(_gibbs_associations(ws, g, g_idx, seed))
+            assoc.extend(_gibbs_associations(ws, g, g_idx, locs, seed))
     if not assoc:
         assoc = [_fallback_association(ws, d, n_src)]
         warnings.warn("no association had positive weight; forced all-clutter fallback")
@@ -318,12 +321,13 @@ class _UpdateWorkspace:
             rec = self._local[(i, a)] = (log_miss, r_miss, rows, eta)
         return rec
 
-    def gated_trees(self, g):
-        """Gate table of predicted global hypothesis g: entry j lists, in
-        ascending order, the trees whose hypothesis in g gates measurement j."""
+    def gated_trees(self, locs):
+        """Gate table of a predicted global hypothesis, given the records
+        ``locs`` of its local hypotheses: entry j lists, in ascending order,
+        the trees whose hypothesis gates measurement j."""
         rows = [[] for _ in range(self.m)]
-        for i, a in enumerate(g.berns):
-            for j in self.local(i, a)[2]:
+        for i, loc in enumerate(locs):
+            for j in loc[2]:
                 rows[j].append(i)
         return rows
 
@@ -390,7 +394,7 @@ class _UpdateWorkspace:
 
 def _enumerate_labelings(ws, g, gated):
     """Exhaustive association for one predicted global hypothesis with gate
-    table ``gated`` (``ws.gated_trees(g)``).
+    table ``gated`` (``ws.gated_trees``).
 
     Yields (src_cells, tree_cells, own_cells, log_factor) with cells as
     tuples of 0-based measurement indices; log_factor is the absolute
@@ -465,10 +469,10 @@ def _enumerate_labelings(ws, g, gated):
         yield from assemble(labels)
 
 
-def _gibbs_associations(ws, g, g_idx, seed):
-    """Sampled associations for one predicted global hypothesis."""
+def _gibbs_associations(ws, g, g_idx, locs, seed):
+    """Sampled associations for one predicted global hypothesis, whose local
+    hypotheses have the records ``locs``."""
     m, n, n_src = ws.m, ws.n, len(ws.sources)
-    locs = [ws.local(i, a) for i, a in enumerate(g.berns)]
     if any(loc[0] == NEG_INF for loc in locs):
         raise NumericalError(
             "a predicted hypothesis cannot miss; sampled association "
@@ -477,16 +481,7 @@ def _gibbs_associations(ws, g, g_idx, seed):
     miss_base = 0.0
     for loc in locs:
         miss_base += loc[0]
-    # Flat positions in the (m, n+m) eta table: tree i's entry on row j is
-    # j*(n+m)+i, and the new-track diagonal (row j, column n+j) has stride n+m+1.
-    stride = n + m
-    entries = [(j * (stride + 1) + n, w) for j, w in enumerate(ws.own_col)]
-    entries += [(j * stride + i, v) for i, loc in enumerate(locs) for j, v in loc[3]]
-    eta = np.full(m * stride, NEG_INF)
-    eta[[p for p, _ in entries]] = [v for _, v in entries]
-    eta = eta.reshape(m, stride)
-    clutter, cache = (ws.sources[0], ws.src[0]) if n_src else (None, None)
-    problem = AssociationProblem(eta, clutter, ws.Z, n, cache)
+    problem = AssociationProblem([loc[3] for loc in locs], ws.own_col, ws.src[0] if n_src else None)
     w_norm = math.exp(min(g.log_w, 0.0))
     sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, ws.k, g_idx))))
@@ -559,10 +554,7 @@ def _assemble(ws, assoc):
         else:
             fac, post = ws.det_info(i, a, cell)
             pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell}
-            if fac == NEG_INF:
-                hyp = LocalHypothesis(NEG_INF, 0.0, None, pairs, a)
-            else:
-                hyp = LocalHypothesis(parent.log_w + fac, 1.0, post, pairs, a)
+            hyp = LocalHypothesis(parent.log_w + fac, 1.0, post, pairs, a)
         upd_trees[i].hyps.append(hyp)
         idx = len(upd_trees[i].hyps) - 1
         tree_child[key] = idx

@@ -2,13 +2,16 @@
 
 An association vector assigns every measurement of one scan to clutter (0),
 to an existing Bernoulli tree (1..n), or to a new track born from that same
-measurement (n+j).  The joint weight couples target terms (the per-target
-ratio table eta) with the clutter set density evaluated on whatever was
-left to clutter, so non-Poisson clutter makes the coordinates interact.
+measurement (n+j+1 for measurement j).  The joint weight couples target
+terms (the per-target ratios eta) with the clutter set density evaluated on
+whatever was left to clutter, so non-Poisson clutter makes the coordinates
+interact.  Eta comes sparse, as the filter update holds it: per tree, the
+(measurement, log eta) pairs it can explain, and per measurement the log
+weight of its own new track.
 
 Two engines produce association sets: exhaustive enumeration (small scans,
 and the oracle in tests) and a systematic-scan Gibbs sampler (everything
-else).  When the problem has no clutter column at all (``clutter=None``,
+else).  When the problem has no clutter column at all (``cache=None``,
 the merged parameterization where the PPP clutter intensity is folded into
 the new-track weights) the value 0 simply has zero mass and the sampler
 starts from the all-new-track vector instead of all-zero.
@@ -46,67 +49,49 @@ NEG_INF = float("-inf")
 _ENUM_GUARD = 1_000_000
 
 
-def _as_scan(Z) -> np.ndarray:
-    arr = np.asarray(Z, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, arr.shape[-1] if arr.ndim >= 2 else 1)
-    return np.atleast_2d(arr)
-
-
 @dataclass
 class AssociationProblem:
     """One scan's association inputs for one predicted global hypothesis.
 
-    ``log_eta`` has shape (m, n+m): columns 0..n-1 are detection/miss weight
-    ratios of the predicted Bernoullis, column n+j is the new-track weight
-    of measurement j (only finite on its own row).
+    ``eta[i]`` lists tree i's (j, log eta_ij) pairs: the detection/miss
+    weight ratio of measurement j, once per row.  ``own[j]`` is the log
+    weight of the new track born from measurement j.  Rows or tracks left
+    out, or given weight -inf, cannot take that value.
 
-    Clutter set densities are read through ``cache``, a ``ClutterCache`` of
-    ``clutter`` on ``Z``.  The filter update passes the one it shares across
-    the scan's predicted global hypotheses; left as None, a problem built
-    on its own gets a fresh cache.  Either way ``clutter.log_density`` is
-    called at most once per distinct clutter subset.
+    ``cache`` is the scan's ``ClutterCache``; the filter update passes the
+    one it shares across the scan's predicted global hypotheses.  None means
+    there is no clutter column (the merged regime).
     """
 
-    log_eta: np.ndarray
-    clutter: object | None
-    Z: np.ndarray
-    n: int
+    eta: list
+    own: list
     cache: ClutterCache | None = None
 
     def __post_init__(self):
-        self.log_eta = np.asarray(self.log_eta, dtype=float)
-        self.Z = _as_scan(self.Z)
-        m = self.m
-        if self.n < 0:
-            raise ConfigurationError("n must be >= 0")
-        if self.log_eta.shape != (m, self.n + m):
-            raise ConfigurationError(
-                f"eta table must have shape ({m}, {self.n + m}), got {self.log_eta.shape}"
-            )
-        if self.cache is not None and (
-            self.cache.clutter is not self.clutter or not np.array_equal(self.cache.Z, self.Z)
-        ):
-            raise ConfigurationError("clutter cache belongs to another clutter model or scan")
-        if self.cache is None and self.clutter is not None:
-            self.cache = ClutterCache(self.clutter, self.Z)
-        self._eta_rows = self.log_eta.tolist()
+        n, m = len(self.eta), len(self.own)
+        self.n, self.m = n, m
+        if self.cache is not None and self.cache.Z.shape[0] != m:
+            raise ConfigurationError("clutter cache belongs to a scan of another size")
         self._fast = self.cache.count_table() if self.cache is not None else None
-        # Static candidates (value, eta) of each row among the trees and its
-        # own column, in increasing value order.
-        n = self.n
-        self._row_cands = [[] for _ in range(m)]
-        rows, cols = np.nonzero(self.log_eta > NEG_INF)
-        for q, c in zip(rows.tolist(), cols.tolist()):
-            if c < n or c == n + q:
-                self._row_cands[q].append((c + 1, self._eta_rows[q][c]))
-
-    @property
-    def m(self) -> int:
-        return self.Z.shape[0]
+        # Each row's (value, eta) candidates by increasing value, and a lookup.
+        self._row_cands = cands = [[] for _ in range(m)]
+        last = [-1] * m
+        for i, pairs in enumerate(self.eta):
+            for j, w in pairs:
+                if not 0 <= j < m:
+                    raise ConfigurationError(f"tree {i} lists row {j} outside the scan")
+                if last[j] == i:
+                    raise ConfigurationError(f"tree {i} lists row {j} twice")
+                last[j] = i
+                if w > NEG_INF:
+                    cands[j].append((i + 1, w))
+        for j, w in enumerate(self.own):
+            if w > NEG_INF:
+                cands[j].append((n + j + 1, w))
+        self._row_w = [dict(c) for c in cands]
 
     def _clutter_log_density(self, idx: tuple) -> float:
-        if self.clutter is None:
+        if self.cache is None:
             return 0.0 if not idx else NEG_INF
         return self.cache(idx)
 
@@ -141,7 +126,7 @@ def assoc_log_weight(p: AssociationProblem, gamma) -> float:
         else:
             if not 1 <= v <= p.n + p.m:
                 raise ConfigurationError(f"association value out of range: {v}")
-            total += p._eta_rows[j][v - 1]
+            total += p._row_w[j].get(v, NEG_INF)
             if total == NEG_INF:
                 return NEG_INF
     return total + p._clutter_log_density(tuple(clutter_idx))
@@ -156,7 +141,7 @@ def _candidates(p: AssociationProblem, gamma, q: int, taken, mc: int):
     plus the clutter density without q.  Only values of positive weight are
     listed, on a scale shared by this call's values alone.
     """
-    if p.clutter is None:
+    if p.cache is None:
         base, with_q = 0.0, NEG_INF
     elif p._fast is not None:
         table, inside = p._fast
@@ -194,14 +179,17 @@ def gibbs_conditional(p: AssociationProblem, gamma, q: int) -> np.ndarray:
 
 
 def _start(p: AssociationProblem):
-    """All-new-track without a clutter column, else all-clutter.  On the
-    general branch, if all-clutter has zero weight (a point outside the
-    clutter region, say), each measurement takes its own track, else its
-    highest free tree, else clutter; None if that has zero weight too."""
+    """All-new-track without a clutter column, else all-clutter, or None if
+    no association has positive weight.  With a count table that is when a
+    point outside the region has no tree or own track; on the general branch,
+    if all-clutter has zero weight, each measurement takes its own track, else
+    its highest free tree, else clutter, and None if that has zero weight too."""
     m, n = p.m, p.n
-    if p.clutter is None:
+    if p.cache is None:
         return [n + j + 1 for j in range(m)]
-    if p._fast is not None or p.cache(tuple(range(m))) > NEG_INF:
+    if p._fast is not None:
+        return [0] * m if all(i or c for i, c in zip(p._fast[1], p._row_cands)) else None
+    if p.cache(tuple(range(m))) > NEG_INF:
         return [0] * m
     gamma = []
     for cands in p._row_cands:
@@ -238,7 +226,7 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
     # One bit per clutter coordinate (bit j) and per taken tree (bit m + v).
     allc = (1 << m) - 1
     state = sum(1 << (m + v if v else j) for j, v in enumerate(gamma) if v <= n)
-    general = allc if p.clutter is not None and p._fast is None else 0
+    general = allc if p.cache is not None and p._fast is None else 0
     keymask = [general | sum(1 << (m + v) for v, _ in c if v <= n) for c in p._row_cands]
     memo = {}
     recorded: dict[tuple, int] = {}
@@ -285,7 +273,7 @@ def enumerate_associations(p: AssociationProblem, include_zero_weight: bool = Tr
     vectors: list[tuple] = []
     raw: list[float] = []
     gamma = [0] * m
-    use_clutter = p.clutter is not None
+    use_clutter = p.cache is not None
 
     def recurse(j: int, taken: frozenset, acc: float, clutter_idx: tuple):
         if j == m:
@@ -293,20 +281,20 @@ def enumerate_associations(p: AssociationProblem, include_zero_weight: bool = Tr
             vectors.append(tuple(gamma))
             raw.append(total)
             return
-        row = p._eta_rows[j]
+        row = p._row_w[j]
         if use_clutter:
             gamma[j] = 0
             recurse(j + 1, taken, acc, clutter_idx + (j,))
         for v in range(1, p.n + 1):
             if v in taken:
                 continue
-            w = row[v - 1]
+            w = row.get(v, NEG_INF)
             if w == NEG_INF and not include_zero_weight:
                 continue
             gamma[j] = v
             recurse(j + 1, taken | {v}, acc + w, clutter_idx)
         own = p.n + j + 1
-        w = row[own - 1]
+        w = row.get(own, NEG_INF)
         if w > NEG_INF or include_zero_weight:
             gamma[j] = own
             recurse(j + 1, taken, acc + w, clutter_idx)

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -120,11 +121,27 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of a field whose default is ``default``:
+    ints for ints, ints or floats for floats (bools for neither), strings for
+    strings, and number sequences of the default's length for tuples."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and len(value) == len(default)
+        return ok and all(_fits(v, 0.0) for v in value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    kind = numbers.Integral if isinstance(default, int) else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    known = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    fields = ScenarioConfig.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if not _fits(value, fields[key].default):
+            raise ConfigurationError(f"{key} needs a value like {fields[key].default!r}, got {value!r}")
     data = dict(data)
     for key in ("birth_mean", "birth_std", "region_lo", "region_hi"):
         if key in data:

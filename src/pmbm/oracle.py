@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .clutter import (
+    ClutterCache,
     ClutterSource,
     CompositeClutter,
     IidClusterClutter,
@@ -532,20 +533,15 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
         g = d.globals_[0]
         log_f0 = model.log_f_empty()
         f0 = math.exp(log_f0)
-        eta = np.full((m, n + m), NEG_INF)
+        eta = []
         for i in range(n):
             h = d.trees[i].hyps[g.berns[i]]
             miss = 1.0 - h.r + h.r * f0
-            for j in range(m):
-                ll, _ = model.detection_update(h.density, Z[j : j + 1])
-                eta[j, i] = math.log(h.r) + ll - math.log(miss)
-        for j in range(m):
-            terms = [
-                lw + _set_loglik(model, Z[j : j + 1], c)
-                for lw, c in zip(d.ppp.log_w, d.ppp.comps)
-            ]
-            eta[j, n + j] = float(logsumexp(terms))
-        return AssociationProblem(eta, clutter, Z, n)
+            lls = [model.detection_update(h.density, Z[j : j + 1])[0] for j in range(m)]
+            eta.append([(j, math.log(h.r) + ll - math.log(miss)) for j, ll in enumerate(lls)])
+        ppp = list(zip(d.ppp.log_w, d.ppp.comps))
+        own = [float(logsumexp([lw + _set_loglik(model, z, c) for lw, c in ppp])) for z in Z[:, None]]
+        return AssociationProblem(eta, own, ClutterCache(clutter, Z) if clutter is not None else None)
 
     # Conditionals: every candidate mass equals the normalized direct weight.
     for t in range(40):

@@ -42,6 +42,14 @@ def test_bad_scenario_key_exits_one(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
+def test_wrongly_typed_scenario_value_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "typed.yaml"
+    cfg.write_text("steps: 10.5\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--filters", "pmb"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_degenerate_noise_exits_one(tmp_path, capsys):
     cfg = tmp_path / "zero-noise.yaml"
     cfg.write_text("meas_noise: 0.0\n")

@@ -207,6 +207,17 @@ class TestUpdateArbitrary:
                 self.CFG,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("regime", ["arbitrary", "ppp-merged"])
+    def test_non_finite_scan_rejected(self, regime, bad):
+        # Before this check, the arbitrary regime silently took the forced
+        # all-clutter fallback and the merged one failed in moment matching.
+        clutter = nb_line_clutter() if regime == "arbitrary" else PoissonClutter(2.0, LINE)
+        cfg = FilterConfig(clutter_regime=regime, validate=True)
+        d = ppp_only_density()
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            update(d, np.array([[0.5], [bad]]), PointTargetModel(scalar_sensor()), clutter, cfg)
+
     @given(
         r=st.floats(min_value=0.0, max_value=0.95),
         pd=st.floats(min_value=0.05, max_value=0.95),

@@ -11,7 +11,13 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 from pmbm import gibbs
-from pmbm.clutter import IidClusterClutter, PoissonClutter, Region, nb_from_mean_dispersion
+from pmbm.clutter import (
+    ClutterCache,
+    IidClusterClutter,
+    PoissonClutter,
+    Region,
+    nb_from_mean_dispersion,
+)
 from pmbm.errors import ConfigurationError, NumericalError
 from pmbm.gibbs import (
     AssociationProblem,
@@ -27,23 +33,39 @@ NEG_INF = float("-inf")
 REGION10 = Region((0.0, 0.0), (10.0, 10.0))
 
 
+def make_problem(table, own, clutter, Z):
+    """Problem from an (m, n) table of tree log etas (-inf: not gated), the
+    m new-track log weights, a clutter model (None: merged) and the scan."""
+    eta = [list(enumerate(col)) for col in np.asarray(table, dtype=float).T.tolist()]
+    cache = ClutterCache(clutter, np.asarray(Z, dtype=float)) if clutter is not None else None
+    return AssociationProblem(eta, list(own), cache)
+
+
 def small_problem(n=1, m=2, seed=0, clutter=True, region_side=10.0):
-    """Random eta table over a small region; clutter is NB-IID when on."""
+    """Random etas over a small region; clutter is NB-IID when on.  Every
+    tree lists every row."""
     rng = np.random.default_rng(seed)
     region = Region((0.0, 0.0), (region_side, region_side))
     Z = region.sample(rng, m)
-    eta = np.full((m, n + m), NEG_INF)
-    eta[:, :n] = rng.normal(size=(m, n))
-    for j in range(m):
-        eta[j, n + j] = rng.normal()
+    table = rng.normal(size=(m, n))
+    own = [rng.normal() for _ in range(m)]
     c = IidClusterClutter(nb_from_mean_dispersion(3.0, 4.0), region) if clutter else None
-    return AssociationProblem(eta, c, Z, n)
+    return make_problem(table, own, c, Z)
+
+
+def table_of(p):
+    """The (m, n) tree log etas of ``p``, -inf where a tree lists no row."""
+    table = np.full((p.m, p.n), NEG_INF)
+    for i, pairs in enumerate(p.eta):
+        for j, w in pairs:
+            table[j, i] = w
+    return table
 
 
 class TestAssocWeight:
     def test_all_clutter_is_clutter_density(self):
         p = small_problem(n=1, m=3)
-        want = p.clutter.log_density(p.Z)
+        want = p.cache.clutter.log_density(p.cache.Z)
         assert_allclose(assoc_log_weight(p, (0, 0, 0)), want, atol=1e-12)
 
     def test_repeated_target_invalid(self):
@@ -54,7 +76,7 @@ class TestAssocWeight:
         # first measurement to the track, second to its own new component
         p = small_problem(n=1, m=2)
         got = assoc_log_weight(p, (1, 3))
-        want = p.log_eta[0, 0] + p.log_eta[1, 2] + p.clutter.log_density(p.Z[[]])
+        want = p.eta[0][0][1] + p.own[1] + p.cache.clutter.log_density(p.cache.Z[[]])
         assert_allclose(got, want, atol=1e-12)
 
     def test_out_of_range_value_rejected(self):
@@ -76,9 +98,9 @@ class TestConditional:
 
     def test_blocked_row_collapses_to_clutter(self):
         base = small_problem(n=1, m=2)
-        eta = np.array(base.log_eta)
-        eta[0, :] = NEG_INF
-        p = AssociationProblem(eta, base.clutter, base.Z, base.n)
+        table = table_of(base)
+        table[0, :] = NEG_INF
+        p = make_problem(table, [NEG_INF] + base.own[1:], base.cache.clutter, base.cache.Z)
         cond = gibbs_conditional(p, [0, 0], 0)
         assert cond[0] == 1.0
 
@@ -87,10 +109,10 @@ class TestConditional:
         cardinality-ratio against the own weight."""
         p = small_problem(n=0, m=1)
         cond = gibbs_conditional(p, [0], 0)
-        log_c1 = p.clutter.log_density(p.Z)
-        log_c0 = p.clutter.log_density(p.Z[[]])
+        log_c1 = p.cache.clutter.log_density(p.cache.Z)
+        log_c0 = p.cache.clutter.log_density(p.cache.Z[[]])
         w_clutter = math.exp(log_c1)
-        w_own = math.exp(p.log_eta[0, 0] + log_c0)
+        w_own = math.exp(p.own[0] + log_c0)
         assert_allclose(cond[0], w_clutter / (w_clutter + w_own), atol=1e-12)
         assert_allclose(cond[1], w_own / (w_clutter + w_own), atol=1e-12)
 
@@ -125,12 +147,10 @@ class TestConditional:
         rng = np.random.default_rng(3)
         region = Region((0.0, 0.0), (10.0, 10.0))
         Z = region.sample(rng, 3)
-        eta = np.full((3, 4), NEG_INF)
-        eta[:, 0] = rng.normal(size=3)
-        for j in range(3):
-            eta[j, 1 + j] = rng.normal()
-        fast = AssociationProblem(eta, IidClusterClutter(PoissonCardinality(2.0), region), Z, 1)
-        slow = AssociationProblem(eta, PoissonClutter(2.0, region), Z, 1)
+        table = rng.normal(size=(3, 1))
+        own = [rng.normal() for _ in range(3)]
+        fast = make_problem(table, own, IidClusterClutter(PoissonCardinality(2.0), region), Z)
+        slow = make_problem(table, own, PoissonClutter(2.0, region), Z)
         assert fast._fast is not None and slow._fast is None
         for gamma in ([0, 0, 0], [1, 0, 4], [0, 3, 0]):
             for q in range(3):
@@ -147,23 +167,21 @@ class TestClutterCache:
 
         base = small_problem(n=2, m=4, seed=5)
         counted = counting_clutter(PoissonClutter(2.0, Region((0.0, 0.0), (10.0, 10.0))))
-        p = AssociationProblem(base.log_eta, counted, base.Z, base.n)
+        p = AssociationProblem(base.eta, base.own, ClutterCache(counted, base.cache.Z))
         out = run_gibbs(p, 200, np.random.default_rng(2))
         assert len(out) > 1
         assert max(counted.calls.values()) == 1
-        # Weights come from the same evaluations an uncached problem makes.
-        fresh = AssociationProblem(base.log_eta, counted.inner, base.Z, base.n)
+        # Weights come from the same evaluations a fresh cache makes.
+        fresh = AssociationProblem(base.eta, base.own, ClutterCache(counted.inner, base.cache.Z))
         for gamma, lw in out:
             assert lw == assoc_log_weight(fresh, gamma)
 
-    def test_shared_cache_must_match_problem(self):
+    def test_cache_of_another_scan_size_rejected(self):
         p = small_problem(n=1, m=3)
-        other = small_problem(n=1, m=3, seed=9)
-        with pytest.raises(ConfigurationError):
-            AssociationProblem(p.log_eta, p.clutter, other.Z, p.n, p.cache)
-        with pytest.raises(ConfigurationError):
-            AssociationProblem(p.log_eta, other.clutter, p.Z, p.n, p.cache)
-        shared = AssociationProblem(p.log_eta, p.clutter, p.Z, p.n, p.cache)
+        other = small_problem(n=1, m=4, seed=9)
+        with pytest.raises(ConfigurationError, match="another size"):
+            AssociationProblem(p.eta, p.own, other.cache)
+        shared = AssociationProblem(p.eta, p.own, p.cache)
         assert shared.cache is p.cache
 
     def test_count_table_built_once_per_cache(self):
@@ -176,19 +194,47 @@ class TestClutterCache:
                 return self.inner.log_pmf(x)
 
         base = small_problem(n=2, m=4, seed=3)
+        Z = base.cache.Z
         card = CountingCard(nb_from_mean_dispersion(3.0, 4.0))
         clutter = IidClusterClutter(card, REGION10)
-        first = AssociationProblem(base.log_eta, clutter, base.Z, base.n)
+        first = AssociationProblem(base.eta, base.own, ClutterCache(clutter, Z))
         for _ in range(5):
-            p = AssociationProblem(base.log_eta, clutter, base.Z, base.n, first.cache)
+            p = AssociationProblem(base.eta, base.own, first.cache)
             assert p._fast is first._fast
         assert card.calls == base.m + 1
         table, inside = first.cache.count_table()
         assert inside == [True] * base.m
         for x in range(base.m + 1):
-            assert_allclose(table[x], clutter.log_density(base.Z[:x]), rtol=1e-12)
-        poisson = AssociationProblem(base.log_eta, PoissonClutter(2.0, REGION10), base.Z, base.n)
+            assert_allclose(table[x], clutter.log_density(Z[:x]), rtol=1e-12)
+        poisson = AssociationProblem(
+            base.eta, base.own, ClutterCache(PoissonClutter(2.0, REGION10), Z)
+        )
         assert poisson.cache.count_table() is None and poisson._fast is None
+
+
+class TestProblemInput:
+    @pytest.mark.parametrize("j", [2, -1])
+    def test_row_outside_scan_rejected(self, j):
+        with pytest.raises(ConfigurationError, match="outside the scan"):
+            AssociationProblem([[(0, 0.1)], [(j, 0.2)]], [0.0, 0.0])
+
+    def test_row_listed_twice_by_one_tree_rejected(self):
+        with pytest.raises(ConfigurationError, match="twice"):
+            AssociationProblem([[(0, NEG_INF), (1, 0.3), (0, 0.2)]], [0.0, 0.0])
+        shared = AssociationProblem([[(0, 0.1)], [(0, 0.2)]], [0.0, 0.0])
+        assert shared._row_cands[0] == [(1, 0.1), (2, 0.2), (3, 0.0)]
+
+    def test_new_track_explains_only_its_own_measurement(self):
+        p = small_problem(n=1, m=2)
+        assert assoc_log_weight(p, (3, 0)) == NEG_INF
+        assert assoc_log_weight(p, (0, 2)) == NEG_INF
+        assert gibbs_conditional(p, [0, 0], 0)[3] == 0.0
+
+    def test_unlisted_and_zero_weight_entries_are_absent(self):
+        p = AssociationProblem([[(1, NEG_INF)], []], [0.25, 0.5])
+        assert p._row_cands == [[(3, 0.25)], [(4, 0.5)]]
+        assert assoc_log_weight(p, (3, 1)) == NEG_INF
+        assert assoc_log_weight(p, (3, 4)) == 0.75
 
 
 class TestEnumerate:
@@ -227,7 +273,7 @@ class TestRunGibbs:
     def test_empty_scan(self):
         p = small_problem(1, 0)
         out = run_gibbs(p, 5, np.random.default_rng(0))
-        assert out == [((), p.clutter.log_density(p.Z))]
+        assert out == [((), p.cache.clutter.log_density(p.cache.Z))]
 
     def test_deterministic_given_seed(self):
         p = small_problem(2, 3)
@@ -276,9 +322,10 @@ class TestRunGibbs:
 def _problem_for_branch(branch, seed):
     """A 3-track, 5-measurement problem on the sampler's count-table,
     general (opaque clutter density) or merged (no clutter) branch."""
-    base = small_problem(n=3, m=5, seed=seed, clutter=branch == "count-table")
+    base = small_problem(n=3, m=5, seed=seed, clutter=branch != "merged")
     if branch == "general":
-        return AssociationProblem(base.log_eta, PoissonClutter(3.0, REGION10), base.Z, base.n)
+        cache = ClutterCache(PoissonClutter(3.0, REGION10), base.cache.Z)
+        return AssociationProblem(base.eta, base.own, cache)
     return base
 
 
@@ -307,7 +354,7 @@ def _dependency_key(p, q, gamma):
     (count table) or clutter set (general branch)."""
     others = [v for j, v in enumerate(gamma) if j != q]
     taken = frozenset(v for v, _ in p._row_cands[q] if v <= p.n and v in others)
-    if p.clutter is None:
+    if p.cache is None:
         return q, taken
     clutter = frozenset(j for j, v in enumerate(gamma) if j != q and v == 0)
     return q, taken, len(clutter) if p._fast is not None else clutter
@@ -319,7 +366,7 @@ class TestSamplerRunsCheckedConditional:
     def test_sweeps_replay_through_conditional(self, branch, seed):
         p = _problem_for_branch(branch, seed)
         assert (p._fast is not None) == (branch == "count-table")
-        assert (p.clutter is None) == (branch == "merged")
+        assert (p.cache is None) == (branch == "merged")
         got = [g for g, _ in run_gibbs(p, 40, np.random.default_rng(seed))]
         assert len(got) > 1
         assert got == _replay(p, 40, seed)
@@ -360,15 +407,13 @@ def problems(draw):
     eta = np.where(rng.random((m, n)) < draw(st.sampled_from([0.0, 0.4])), NEG_INF,
                    rng.normal(size=(m, n)))
     own = np.where(rng.random(m) < draw(st.sampled_from([0.0, 0.3])), NEG_INF, rng.normal(size=m))
-    log_eta = np.hstack([eta, np.full((m, m), NEG_INF)])
-    log_eta[np.arange(m), n + np.arange(m)] = own
     Z = rng.uniform(0.0, 10.0, (m, 2))
     clutter = {
         "count-table": IidClusterClutter(nb_from_mean_dispersion(3.0, 4.0), REGION_OUT),
         "general": PoissonClutter(draw(st.sampled_from([0.0, 3.0])), REGION_OUT),
         "merged": None,
     }[branch]
-    return AssociationProblem(log_eta, clutter, Z, n)
+    return make_problem(eta, own.tolist(), clutter, Z)
 
 
 class TestSamplerProperties:
@@ -386,28 +431,39 @@ class TestSamplerProperties:
 
 
 class TestStart:
-    def _general(self, eta, Z):
-        return AssociationProblem(np.array(eta), PoissonClutter(3.0, REGION10), np.array(Z), 1)
+    def _general(self, table, own, Z):
+        return make_problem(table, own, PoissonClutter(3.0, REGION10), Z)
 
     def test_zero_weight_all_clutter_moves_to_own_track_then_tree(self):
         # Measurement 0 lies outside the region; its own track is impossible,
         # so it starts on the tree and measurement 1 on its own track.
-        p = self._general([[0.5, NEG_INF, NEG_INF], [0.1, NEG_INF, 0.2]], [[-5.0, 1.0], [3.0, 3.0]])
+        p = self._general([[0.5], [0.1]], [NEG_INF, 0.2], [[-5.0, 1.0], [3.0, 3.0]])
         assert _start(p) == [1, 3]
         assert all(g[0] != 0 for g, _ in run_gibbs(p, 50, np.random.default_rng(0)))
 
     def test_no_positive_start_returns_no_association(self):
-        p = self._general([[NEG_INF, NEG_INF, NEG_INF], [0.1, NEG_INF, 0.2]], [[-5.0, 1.0], [3.0, 3.0]])
+        p = self._general([[NEG_INF], [0.1]], [NEG_INF, 0.2], [[-5.0, 1.0], [3.0, 3.0]])
         assert _start(p) is None
         assert run_gibbs(p, 10, np.random.default_rng(0)) == []
         assert run_gibbs(p, 10, np.random.default_rng(0), collect_counts=True) == ([], {})
+
+    def test_count_table_row_without_support_gives_no_association(self):
+        # Measurement 0 lies outside the region, no tree lists it and its own
+        # track is impossible, so every association has zero weight.
+        base = small_problem(n=1, m=3)
+        Z = np.vstack([[-5.0, 1.0], base.cache.Z[1:]])
+        table = table_of(base)
+        table[0, :] = NEG_INF
+        p = make_problem(table, [NEG_INF] + base.own[1:], base.cache.clutter, Z)
+        assert _start(p) is None
+        assert run_gibbs(p, 10, np.random.default_rng(0)) == []
 
     def test_count_table_keeps_all_clutter_start(self):
         # The count-table conditional reads only the clutter count, so the
         # chain leaves an all-clutter start of zero weight by itself.
         base = small_problem(n=1, m=3)
-        Z = np.vstack([[-5.0, 1.0], base.Z[1:]])
-        p = AssociationProblem(base.log_eta, base.clutter, Z, 1)
+        Z = np.vstack([[-5.0, 1.0], base.cache.Z[1:]])
+        p = AssociationProblem(base.eta, base.own, ClutterCache(base.cache.clutter, Z))
         assert p._fast[1] == [False, True, True]
         assert _start(p) == [0, 0, 0]
         assert all(g[0] != 0 for g, _ in run_gibbs(p, 20, np.random.default_rng(0)))

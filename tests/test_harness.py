@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from pmbm import harness
 from pmbm.clutter import ClutterSource, CompositeClutter, IidClusterClutter, PoissonClutter
 from pmbm.errors import ConfigurationError, NumericalError
-from pmbm.filtering import FilterConfig
+from pmbm.filtering import FilterConfig, initial_density
 from pmbm.harness import (
     ALL_FILTERS,
     DEFAULT_FILTERS,
@@ -42,6 +45,8 @@ from pmbm.harness import (
     scenario_to_dict,
     sensor_model,
 )
+from pmbm.hypotheses import validate_global
+from pmbm.measmodel import PointTargetModel
 
 # Small but otherwise faithful variant of the default scenario.
 TINY = ScenarioConfig(steps=6, runs=2, max_global_hyps=20, clutter_mean=3.0, clutter_dispersion=4.0)
@@ -91,6 +96,36 @@ class TestScenarioConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
             scenario_from_dict({"stepz": 3})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "steps: 10.5",
+            "runs: '3'",
+            "seed: 1.5",
+            "clutter_mean: '10'",
+            "birth_mean: 5",
+            "birth_mean: [150, 0, 150]",
+            "region_hi: [300.0, '300']",
+            "detection: true",
+            "estimator: 2",
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, tmp_path, text):
+        path = tmp_path / "typed.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigurationError, match=text.split(":")[0]):
+            load_scenario(str(path))
+
+    def test_valid_values_kept_as_given(self, tmp_path):
+        # An int is a valid float value and is not converted, so the
+        # config.yaml echo of a valid file keeps what the file said.
+        data = {"clutter_mean": 10, "steps": 3, "region_lo": [0, 0]}
+        cfg = scenario_from_dict(data)
+        assert type(cfg.clutter_mean) is int and cfg.region_lo == (0.0, 0.0)
+        path = str(tmp_path / "echo.yaml")
+        save_scenario(cfg, path)
+        assert "clutter_mean: 10\n" in Path(path).read_text()
 
     def test_non_mapping_file_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -352,6 +387,20 @@ class TestExperiment:
         fallbacks = [w for w in caught if "forced all-clutter fallback" in str(w.message)]
         assert bool(fallbacks) == (name == "mbm")
 
+    def test_count_table_scan_with_unexplainable_point_falls_back(self):
+        # Under NB clutter, mbm can explain a point outside the region with
+        # nothing: no tree gates it and there are no Poisson births.  The
+        # sampler returns no association, as on the general branch, and the
+        # update takes the forced fallback instead of failing the run.
+        cfg = replace(TINY, steps=3, runs=1, clutter_mean=10.0, max_global_hyps=5)
+        truth = sample_ground_truth(cfg, truth_rng(cfg))
+        scans = sample_scans(truth, cfg, np.random.default_rng(4))
+        scans = [np.vstack([z, [[-50.0, 10.0]]]) for z in scans]
+        (spec,) = filter_bank(cfg, ("mbm",))
+        with pytest.warns(UserWarning, match="forced all-clutter fallback"):
+            rec = run_trial(cfg, spec, truth, scans, 0, assoc_seed=2)
+        assert not rec.failed, rec.error
+
     def test_size_limit_failure_is_recorded(self):
         # Composite clutter evaluated as an opaque density is guarded at 12
         # measurements; the sampler reaches the guard on a 13-point scan.
@@ -454,6 +503,60 @@ class TestFilterStep:
         exec(compile(code, "README.md", "exec"), {})
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == [f"step {k}" for k in range(1, 6)]
+
+
+@st.composite
+def edge_runs(draw):
+    """A short scenario with random detection, clutter and hypothesis cap,
+    and per-step scan kinds: sampled, empty, sampled plus a point outside
+    the region, or 80 uniform points."""
+    cfg = replace(
+        TINY,
+        steps=4,
+        runs=1,
+        detection=draw(st.floats(0.05, 0.99)),
+        clutter_family=draw(st.sampled_from(["nb", "poisson"])),
+        clutter_mean=draw(st.floats(0.5, 20.0)),
+        clutter_dispersion=draw(st.floats(1.5, 40.0)),
+        max_global_hyps=draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    kinds = st.sampled_from(["sampled", "empty", "outside", "dense"])
+    return cfg, draw(st.lists(kinds, min_size=cfg.steps, max_size=cfg.steps))
+
+
+class TestScenarioProperties:
+    @given(run=edge_runs())
+    @settings(max_examples=12, deadline=None)
+    def test_every_filter_keeps_a_valid_state(self, run):
+        """Every filter runs each step with validation on, and after each
+        step its global weights are normalized and every global hypothesis
+        is a valid partition of the measurements."""
+        cfg, kinds = run
+        rng = np.random.default_rng(cfg.seed)
+        truth = sample_ground_truth(cfg, truth_rng(cfg))
+        scans = []
+        for z, kind in zip(sample_scans(truth, cfg, rng), kinds):
+            if kind == "empty":
+                z = np.zeros((0, 2))
+            elif kind == "outside":
+                z = np.vstack([z, [[-50.0, 10.0]]])
+            elif kind == "dense":
+                z = rng.uniform(0.0, 300.0, (80, 2))
+            scans.append(z)
+        model, motion = PointTargetModel(sensor_model(cfg)), motion_model(cfg)
+        for spec in filter_bank(cfg, ALL_FILTERS):
+            spec = replace(spec, filter_cfg=replace(spec.filter_cfg, validate=True))
+            d = initial_density()
+            for k, z in enumerate(scans, start=1):
+                with warnings.catch_warnings():
+                    # mbm cannot explain a point outside the region.
+                    warnings.filterwarnings("ignore", "no association had positive weight")
+                    d, _ = harness.filter_step(d, z, k, spec, cfg, model, motion, seed=k)
+                weights = [g.log_w for g in d.globals_]
+                assert abs(logsumexp(weights)) < 1e-9, (spec.name, k)
+                for g in d.globals_:
+                    assert validate_global(g, d.trees, d.clutter_trees, d.universe), (spec.name, k)
 
 
 class TestOutputs:
