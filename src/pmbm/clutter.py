@@ -2,9 +2,11 @@
 
 Every clutter model answers one question: ``log_density(Z)`` for a finite
 measurement set Z (the empty set included).  The filter update never
-branches on the clutter family; it only ever calls this evaluation.
-Sampling methods live on the same objects so the simulation harness and the
-evaluator cannot drift apart.
+branches on the clutter family; it only ever calls this evaluation.  A model
+whose density depends on Z only through its size inside a region also
+provides ``count_table(Z)``, which the Gibbs sampler reads instead, and
+computes both from one per-count term.  Sampling methods live on the same
+objects so the simulation harness and the evaluator cannot drift apart.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .densities import GaussianDensity, LinearGaussianSensor
+from .densities import GaussianDensity, LinearGaussianSensor, gaussian_logpdf
 from .errors import ConfigurationError, SizeLimitError
 from .measmodel import ExtendedTargetModel, extended_set_density
 
 NEG_INF = float("-inf")
 _TRUNCATION_TAIL = 1e-14
-_UNBUILT = object()
 
 
 def _as_scan(Z) -> np.ndarray:
@@ -186,17 +187,23 @@ class IidClusterClutter:
     cardinality: object
     region: Region
 
+    def _log_count(self, x: int) -> float:
+        """log c of x points in the region: log(x!) + log ρ(x) + x log(1/|A|)."""
+        return float(gammaln(x + 1)) + self.cardinality.log_pmf(x) - x * math.log(self.region.area)
+
     def log_density(self, Z) -> float:
-        """log c(Z) = log(|Z|!) + log ρ(|Z|) + Σ log(1/|A|)."""
         Z = _as_scan(Z)
         m = Z.shape[0]
         if m and not bool(np.all(self.region.contains(Z))):
             return NEG_INF
-        return (
-            float(gammaln(m + 1))
-            + self.cardinality.log_pmf(m)
-            - m * math.log(self.region.area)
-        )
+        return self._log_count(m)
+
+    def count_table(self, Z) -> tuple:
+        """``(table, inside)``: ``table[x]`` is log c of x in-region points for
+        x = 0..|Z| and ``inside[j]`` says whether Z[j] lies in the region."""
+        Z = _as_scan(Z)
+        inside = self.region.contains(Z).tolist()
+        return [self._log_count(x) for x in range(len(inside) + 1)], inside
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         count = self.cardinality.sample(rng)
@@ -217,9 +224,10 @@ class ClutterSource:
         loc = np.asarray(self.location, dtype=float)
         loc.setflags(write=False)
         object.__setattr__(self, "location", loc)
-        cov = GaussianDensity(loc, self.cov).cov
-        model = ExtendedTargetModel(LinearGaussianSensor(np.eye(loc.size), cov, self.pd), self.rate)
-        object.__setattr__(self, "cov", cov)
+        dens = GaussianDensity(loc, self.cov)
+        model = ExtendedTargetModel(LinearGaussianSensor(np.eye(loc.size), dens.cov, self.pd), self.rate)
+        object.__setattr__(self, "cov", dens.cov)
+        object.__setattr__(self, "_dens", dens)
         object.__setattr__(self, "_model", model)
 
     def log_density(self, Z) -> float:
@@ -228,13 +236,7 @@ class ClutterSource:
 
     def log_meas_density(self, Z) -> np.ndarray:
         """Per-measurement log N(z; location, cov)."""
-        Z = _as_scan(Z)
-        diff = Z - self.location
-        chol = np.linalg.cholesky(self.cov)
-        sol = np.linalg.solve(chol, diff.T)
-        maha = np.sum(sol**2, axis=0)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return -0.5 * (maha + log_det + Z.shape[1] * math.log(2.0 * math.pi))
+        return np.array([gaussian_logpdf(z, self._dens) for z in _as_scan(Z)])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if rng.random() >= self.pd:
@@ -309,14 +311,17 @@ class ClutterCache:
 
     ``cell`` is a sorted tuple of measurement indices into ``Z``.  Each
     distinct cell is evaluated once, so ``log_density`` must be a
-    deterministic function of the measurement set.
+    deterministic function of the measurement set.  The model's
+    ``count_table(Z)``, when it has one, is stored as built; the cache never
+    inspects what it holds.
     """
 
     def __init__(self, clutter, Z: np.ndarray):
         self.clutter = clutter
         self.Z = Z
         self._memo: dict[tuple, float] = {}
-        self._table = _UNBUILT
+        table = getattr(clutter, "count_table", None)
+        self._table = table(Z) if table is not None else None
 
     def __call__(self, cell: tuple) -> float:
         out = self._memo.get(cell)
@@ -326,24 +331,7 @@ class ClutterCache:
         return out
 
     def count_table(self):
-        """``(table, inside)`` when c(Z[cell]) depends on the cell only through
-        its size once every point lies in the region (``IidClusterClutter``):
-        ``table[x]`` is log c of x in-region points for x = 0..m and
-        ``inside[j]`` says whether Z[j] is in the region.  None for other
-        models.  Built once per cache, so once per scan in the update.
-        """
-        if self._table is _UNBUILT:
-            self._table = None
-            if isinstance(self.clutter, IidClusterClutter):
-                m = self.Z.shape[0]
-                card = self.clutter.cardinality
-                log_area = math.log(self.clutter.region.area)
-                table = [
-                    math.lgamma(x + 1) + float(card.log_pmf(x)) - x * log_area
-                    for x in range(m + 1)
-                ]
-                inside = self.clutter.region.contains(self.Z) if m else np.zeros(0, bool)
-                self._table = (table, inside.tolist())
+        """The model's ``count_table(Z)`` for this scan, or None without one."""
         return self._table
 
 

@@ -1,8 +1,10 @@
 """Gaussian state densities and the linear-Gaussian prediction/update algebra.
 
-Validation rule: densities built from user input (``GaussianDensity(mean,
-cov)``) are copied, checked for shape, symmetry and positive definiteness,
-and raise :class:`~pmbm.errors.ConfigurationError`.  Densities this module
+Validation rule: arrays from user input (means, covariances, F, Q, H and
+R) are copied and checked for shape and finite entries, and covariances for
+symmetry; the covariance of a user ``GaussianDensity(mean, cov)`` is also
+factored, which checks it is positive definite, and the factor is kept.  A
+failed check raises :class:`~pmbm.errors.ConfigurationError`.  Densities this module
 computes (predictions, posteriors, moment matches) skip that path: each
 new covariance gets one Cholesky check, and an internal state that is not
 positive definite raises :class:`~pmbm.errors.NumericalError`, as does a
@@ -14,7 +16,7 @@ innovation against a sensor (H m, the Cholesky factor of S = H P H' + R and
 log|S|, then the gain and posterior covariance) is computed once and reused
 by the gate, the likelihoods and every measurement update, as long as the
 same sensor object asks next.  The density's own Cholesky factor, used by
-``gaussian_logpdf``, is kept the same way.
+``gaussian_logpdf``, is kept the same way, or from validation.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ def _as_readonly(a, shape=None) -> np.ndarray:
     out = np.array(a, dtype=float)
     if shape is not None and out.shape != shape:
         raise ConfigurationError(f"expected array of shape {shape}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise ConfigurationError("array holds a non-finite value")
     out.setflags(write=False)
     return out
 
@@ -82,12 +86,12 @@ class GaussianDensity:
             raise ConfigurationError("mean must be one-dimensional")
         cov = _as_readonly(self.cov, (mean.size, mean.size))
         _check_symmetric(cov, "covariance")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError("covariance is not positive definite") from exc
+        own = _factor(cov)
+        if own is None:
+            raise ConfigurationError("covariance is not positive definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_own", own)
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":

@@ -60,7 +60,6 @@ from .hypotheses import (
 )
 
 NEG_INF = float("-inf")
-_MISS = -1  # tree-cell key meaning "no measurement this scan"
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class FilterConfig:
         if self.exhaustive_limit < 1:
             raise ConfigurationError("exhaustive_limit must be >= 1")
         for name in ("mbm_prune", "ppp_prune", "bern_prune", "gate"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be > 0")
         if self.mode not in ("pmbm", "pmb", "mbm"):
             raise ConfigurationError(f"unknown mode: {self.mode}")

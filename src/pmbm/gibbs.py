@@ -26,9 +26,10 @@ Both engines and the final weights read the clutter set density through one
 clutter.  The filter update shares one cache per scan across all predicted
 global hypotheses, so ``log_density`` must be a deterministic function of
 the measurement set; it is evaluated at most once per distinct subset per
-scan.  Clutter models with a count table (``IidClusterClutter``) skip the
-set density while sampling and read only the table, which the cache builds
-once (``ClutterCache.count_table``), so once per scan in the filter update.
+scan.  A clutter model whose density depends on the clutter set only
+through its size inside a region (``IidClusterClutter``) provides
+``count_table(Z)``; the cache stores it when it is built, so once per scan
+in the filter update, and the sampler reads only that table.
 """
 
 from __future__ import annotations
@@ -180,16 +181,22 @@ def gibbs_conditional(p: AssociationProblem, gamma, q: int) -> np.ndarray:
 
 def _start(p: AssociationProblem):
     """All-new-track without a clutter column, else all-clutter, or None if
-    no association has positive weight.  With a count table that is when a
-    point outside the region has no tree or own track; on the general branch,
-    if all-clutter has zero weight, each measurement takes its own track, else
-    its highest free tree, else clutter, and None if that has zero weight too."""
+    no association has positive weight.  With a count table, None when a
+    point outside the region has no tree or own track, and all-clutter when
+    ``table[m]`` is finite, even if a point outside the region makes its
+    weight zero: the chain leaves it by itself.  Otherwise, each measurement
+    takes its own track, else its highest free tree, else clutter, and None
+    if that has zero weight too."""
     m, n = p.m, p.n
     if p.cache is None:
         return [n + j + 1 for j in range(m)]
     if p._fast is not None:
-        return [0] * m if all(i or c for i, c in zip(p._fast[1], p._row_cands)) else None
-    if p.cache(tuple(range(m))) > NEG_INF:
+        table, inside = p._fast
+        if not all(i or c for i, c in zip(inside, p._row_cands)):
+            return None
+        if table[m] > NEG_INF:
+            return [0] * m
+    elif p.cache(tuple(range(m))) > NEG_INF:
         return [0] * m
     gamma = []
     for cands in p._row_cands:
@@ -212,8 +219,6 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
     """
     if sweeps < 1:
         raise ConfigurationError("sweeps must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     m = p.m
     if m == 0:
         empty = ((), assoc_log_weight(p, ()))

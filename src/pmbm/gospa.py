@@ -18,9 +18,9 @@ class GospaConfig:
     alpha: float = 2.0  # decomposition form requires 2
 
     def __post_init__(self):
-        if self.order < 1.0:
+        if not self.order >= 1.0:
             raise ConfigurationError("order must be >= 1")
-        if self.cutoff <= 0.0:
+        if not self.cutoff > 0.0:
             raise ConfigurationError("cutoff must be > 0")
         if self.alpha != 2.0:
             raise ConfigurationError("only alpha=2 supports this decomposition")

@@ -95,6 +95,10 @@ class ScenarioConfig:
     estimator_threshold: float = 0.4
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigurationError(f"{name} must be finite")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         for name in ("survival", "detection"):

@@ -15,7 +15,6 @@ from typing import NamedTuple
 from .densities import GaussianDensity
 from .errors import ConfigurationError, SizeLimitError
 
-NEG_INF = float("-inf")
 _COUNT_GUARD = 20
 
 

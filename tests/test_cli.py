@@ -58,6 +58,14 @@ def test_degenerate_noise_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: meas_noise must be > 0\n"
 
 
+def test_non_finite_scenario_value_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "nan-gate.yaml"
+    cfg.write_text("gate: .nan\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--filters", "pmb"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: gate must be finite\n"
+
+
 def test_bad_subcommand_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -21,6 +21,7 @@ from pmbm.clutter import (
     poisson_nb_kld,
     truncation_bound,
 )
+from pmbm.densities import GaussianDensity, gaussian_logpdf
 from pmbm.errors import ConfigurationError, SizeLimitError
 
 NEG_INF = float("-inf")
@@ -165,6 +166,19 @@ class TestComposite:
     def test_source_covariance_validated_on_construction(self):
         with pytest.raises(ConfigurationError):
             ClutterSource(np.array([1.0, 2.0]), 0.5, 2.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_source_meas_density_reads_its_own_factor(self, rng, monkeypatch):
+        from pmbm import densities
+
+        src = ClutterSource(np.array([100.0, 100.0]), 0.9, 2.0, np.array([[9.0, 2.0], [2.0, 4.0]]))
+        calls = []
+        real_factor = densities._factor
+        monkeypatch.setattr(densities, "_factor", lambda a: calls.append(1) or real_factor(a))
+        Z = src.location + rng.normal(size=(5, 2))
+        want = [gaussian_logpdf(z, GaussianDensity(src.location, src.cov)) for z in Z]
+        calls.clear()
+        assert src.log_meas_density(Z).tolist() == want
+        assert calls == []
 
     def test_sample_concatenates_parts(self, rng, region):
         comp = CompositeClutter(PoissonClutter(20.0, region), (self._source(rate=5.0),))

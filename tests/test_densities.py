@@ -44,6 +44,36 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             GaussianDensity(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GaussianDensity(np.zeros(2), np.full((2, 2), np.nan)),
+            lambda: GaussianDensity(np.array([np.nan, 0.0]), np.eye(2)),
+            lambda: LinearGaussianSensor(np.eye(2), np.full((2, 2), np.nan), 0.9),
+            lambda: LinearGaussianSensor(np.eye(2), np.diag([np.inf, 1.0]), 0.9),
+            lambda: LinearGaussianSensor(np.array([[np.inf, 0.0]]), np.eye(1), 0.9),
+            lambda: LinearGaussianMotion(np.eye(2), np.full((2, 2), np.nan), 0.99),
+            lambda: LinearGaussianMotion(np.diag([1.0, np.inf]), np.zeros((2, 2)), 0.99),
+        ],
+        ids=["cov", "mean", "R-nan", "R-inf", "H", "Q", "F"],
+    )
+    def test_non_finite_entries_rejected(self, build):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            build()
+
+    def test_user_density_keeps_its_factor(self, monkeypatch):
+        from scipy.stats import multivariate_normal
+
+        from pmbm import densities
+
+        d = GaussianDensity(np.array([1.0, -2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+        calls = []
+        real_factor = densities._factor
+        monkeypatch.setattr(densities, "_factor", lambda a: calls.append(1) or real_factor(a))
+        x = np.array([0.5, 0.5])
+        assert_allclose(gaussian_logpdf(x, d), multivariate_normal.logpdf(x, d.mean, d.cov), rtol=1e-12)
+        assert calls == []
+
     def test_survival_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             LinearGaussianMotion(np.eye(2), np.zeros((2, 2)), 1.5)

@@ -12,6 +12,8 @@ from pmbm.clutter import (
     ClutterSource,
     CompositeClutter,
     IidClusterClutter,
+    NegBinomialCardinality,
+    PoissonCardinality,
     PoissonClutter,
     Region,
     nb_from_mean_dispersion,
@@ -269,6 +271,10 @@ class TestFilterConfig:
             {"mode": "jpda"},
             {"clutter_regime": "gaussian"},
             {"exhaustive_limit": 0},
+            {"gate": math.nan},
+            {"mbm_prune": math.nan},
+            {"ppp_prune": math.nan},
+            {"bern_prune": math.nan},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -494,6 +500,29 @@ class TestNewTrackPosteriors:
         assert len(calls) == 1
         assert born == [("meas", 1, (2,))]
         assert len(matched) == len(born)
+
+
+class TestCountTableStart:
+    @pytest.mark.parametrize("card", [PoissonCardinality(0.0), NegBinomialCardinality(1.0, 1.0)])
+    def test_sampled_update_without_all_clutter_mass_matches_enumeration(self, card, monkeypatch):
+        # Clutter sets of one or more points have zero mass, so the sampler
+        # cannot start from all-clutter; it finds the same four hypotheses
+        # as enumeration.
+        clutter = IidClusterClutter(card, Region((0.0,), (10.0,)))
+        d = multi_track_density([5.0])
+        Z = np.array([[4.5], [5.5], [6.0]])
+        model = PointTargetModel(scalar_sensor())
+
+        def weights(limit):
+            cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=limit, validate=True)
+            return np.sort(global_weights(update(d, Z, model, clutter, cfg)))
+
+        want = weights(10**6)
+        calls = _gibbs_counter(monkeypatch)
+        got = weights(1)
+        assert len(calls) == 1
+        assert len(want) == 4
+        assert_allclose(got, want, rtol=1e-12)
 
 
 class TestReduce:

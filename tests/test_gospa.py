@@ -87,6 +87,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             GospaConfig(cutoff=0.0)
 
+    @pytest.mark.parametrize("field", ["order", "cutoff"])
+    def test_nan_setting_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            GospaConfig(**{field: math.nan})
+
     def test_unsupported_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
             GospaConfig(alpha=1.0)

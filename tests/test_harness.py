@@ -117,6 +117,26 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError, match=text.split(":")[0]):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "clutter_mean: .nan",
+            "gospa_cutoff: .nan",
+            "dt: .nan",
+            "meas_noise: .nan",
+            "accel_noise: .inf",
+            "birth_std: [.nan, 1.0, 50.0, 1.0]",
+            "gate: .nan",
+            "birth_weight: .nan",
+            "mbm_prune: .nan",
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        path = tmp_path / "nan.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigurationError, match=text.split(":")[0] + " must be finite"):
+            load_scenario(str(path))
+
     def test_valid_values_kept_as_given(self, tmp_path):
         # An int is a valid float value and is not converted, so the
         # config.yaml echo of a valid file keeps what the file said.
