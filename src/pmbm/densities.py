@@ -161,6 +161,8 @@ class LinearGaussianSensor:
             raise ConfigurationError("H must be a matrix")
         R = _as_readonly(self.R, (H.shape[0], H.shape[0]))
         _check_symmetric(R, "measurement noise")
+        if _factor(R) is None:
+            raise ConfigurationError("measurement noise is not positive definite")
         if not 0.0 <= self.pd <= 1.0:
             raise ConfigurationError("detection probability must lie in [0, 1]")
         object.__setattr__(self, "H", H)

@@ -37,7 +37,6 @@ from scipy.special import logsumexp
 
 from .clutter import ClutterCache, CompositeClutter, PoissonClutter
 from .densities import (
-    GaussianDensity,
     GaussianMixture,
     LinearGaussianMotion,
     ellipsoidal_gate,
@@ -55,8 +54,6 @@ from .hypotheses import (
     LocalHypothesis,
     MeasurementPair,
     bell,
-    dump_trees,
-    validate_global,
 )
 
 NEG_INF = float("-inf")
@@ -74,7 +71,6 @@ class FilterConfig:
     mode: str = "pmbm"  # pmbm | pmb | mbm
     clutter_regime: str = "arbitrary"  # arbitrary | composite | ppp-merged
     exhaustive_limit: int = 32
-    validate: bool = False
 
     def __post_init__(self):
         if self.max_global_hyps < 1:
@@ -595,7 +591,7 @@ def _assemble(ws, assoc):
     ]
 
     universe = d.universe | {MeasurementPair(k, j + 1) for j in range(m)}
-    out = PmbmDensity(
+    return PmbmDensity(
         ppp=d.ppp.scaled(ws.log_f0),
         trees=upd_trees,
         clutter_trees=upd_ctrees,
@@ -603,11 +599,6 @@ def _assemble(ws, assoc):
         universe=universe,
         step=k,
     )
-    if ws.cfg.validate:
-        for g in out.globals_:
-            if not validate_global(g, out.trees, out.clutter_trees, out.universe):
-                raise AssertionError("update produced an invalid global hypothesis")
-    return out
 
 
 def project_to_pmb(d: PmbmDensity) -> PmbmDensity:
@@ -717,6 +708,8 @@ def estimate(d: PmbmDensity, method: str = "map-cardinality", threshold: float =
     w * prod(r in subset) * prod(1-r outside); the optimal subset per
     hypothesis keeps exactly the Bernoullis with r > 1/2.
     """
+    if not threshold >= 0.0:
+        raise ConfigurationError(f"existence threshold must be >= 0, got {threshold}")
     if not d.globals_:
         return []
     if method == "existence-threshold":
@@ -742,116 +735,3 @@ def estimate(d: PmbmDensity, method: str = "map-cardinality", threshold: float =
         if score > best_score:
             best_score, best_sel = score, sel
     return best_sel
-
-
-def density_dump(d: PmbmDensity) -> str:
-    """Line-oriented debug dump of the hypothesis structure."""
-    head = [
-        f"step {d.step} ppp {len(d.ppp)} trees {len(d.trees)} "
-        f"clutter {len(d.clutter_trees)} globals {len(d.globals_)}"
-    ]
-    return "\n".join(head + [dump_trees(d.trees, d.clutter_trees)])
-
-
-SCHEMA_VERSION = 1
-
-
-def _density_obj(dens: GaussianDensity | None):
-    if dens is None:
-        return None
-    return {"mean": dens.mean.tolist(), "cov": dens.cov.tolist()}
-
-
-def _density_from(obj):
-    if obj is None:
-        return None
-    return GaussianDensity(np.array(obj["mean"]), np.array(obj["cov"]))
-
-
-def to_json_obj(d: PmbmDensity) -> dict:
-    """Plain-data form of the filter state (versioned)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "step": d.step,
-        "ppp": {
-            "log_w": list(d.ppp.log_w),
-            "comps": [_density_obj(c) for c in d.ppp.comps],
-        },
-        "trees": [
-            {
-                "origin": list(t.origin),
-                "hyps": [
-                    {
-                        "log_w": h.log_w,
-                        "r": h.r,
-                        "density": _density_obj(h.density),
-                        "pairs": sorted([list(p) for p in h.pairs]),
-                        "parent": h.parent,
-                    }
-                    for h in t.hyps
-                ],
-            }
-            for t in d.trees
-        ],
-        "clutter_trees": [
-            {
-                "hyps": [
-                    {
-                        "log_w": h.log_w,
-                        "pairs": sorted([list(p) for p in h.pairs]),
-                        "parent": h.parent,
-                    }
-                    for h in t.hyps
-                ]
-            }
-            for t in d.clutter_trees
-        ],
-        "globals": [
-            {"log_w": g.log_w, "clutter": list(g.clutter), "berns": list(g.berns)}
-            for g in d.globals_
-        ],
-        "universe": sorted([list(p) for p in d.universe]),
-    }
-
-
-def from_json_obj(obj: dict) -> PmbmDensity:
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigurationError(f"unsupported schema version: {obj.get('schema_version')}")
-    ppp = GaussianMixture(
-        list(obj["ppp"]["log_w"]), [_density_from(c) for c in obj["ppp"]["comps"]]
-    )
-    trees = [
-        BernoulliTree(
-            [
-                LocalHypothesis(
-                    h["log_w"],
-                    h["r"],
-                    _density_from(h["density"]),
-                    frozenset(MeasurementPair(*p) for p in h["pairs"]),
-                    h["parent"],
-                )
-                for h in t["hyps"]
-            ],
-            tuple(tuple(x) if isinstance(x, list) else x for x in t["origin"]),
-        )
-        for t in obj["trees"]
-    ]
-    ctrees = [
-        ClutterTree(
-            [
-                ClutterLocalHypothesis(
-                    h["log_w"],
-                    frozenset(MeasurementPair(*p) for p in h["pairs"]),
-                    h["parent"],
-                )
-                for h in t["hyps"]
-            ]
-        )
-        for t in obj["clutter_trees"]
-    ]
-    globals_ = [
-        GlobalHypothesis(g["log_w"], tuple(g["clutter"]), tuple(g["berns"]))
-        for g in obj["globals"]
-    ]
-    universe = frozenset(MeasurementPair(*p) for p in obj["universe"])
-    return PmbmDensity(ppp, trees, ctrees, globals_, universe, obj["step"])

@@ -101,10 +101,15 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be finite")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
-        for name in ("survival", "detection"):
+        for name in ("survival", "detection", "estimator_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name} must be a probability")
+        if self.estimator not in ("map-cardinality", "existence-threshold"):
+            raise ConfigurationError(f"unknown estimator: {self.estimator}")
+        for name in ("birth_weight_first", "birth_weight"):
+            if getattr(self, name) < 0.0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if self.clutter_family not in ("nb", "poisson"):
             raise ConfigurationError(f"unknown clutter family: {self.clutter_family}")
         if self.truth_mode not in ("fixed", "per-run"):

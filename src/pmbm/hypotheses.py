@@ -107,26 +107,6 @@ def validate_global(g: GlobalHypothesis, trees, clutter_trees, universe) -> bool
     return seen == set(universe)
 
 
-def dump_trees(trees, clutter_trees) -> str:
-    """Line-oriented debug dump: one local hypothesis per line."""
-    lines = []
-    for t, tree in enumerate(clutter_trees):
-        for h, hyp in enumerate(tree.hyps):
-            pairs = sorted(hyp.pairs)
-            lines.append(
-                f"clutter {t} hyp {h} parent {hyp.parent} w {hyp.log_w:+.6e} M {pairs}"
-            )
-    for t, tree in enumerate(trees):
-        label = " ".join(str(x) for x in tree.origin) if tree.origin else "-"
-        for h, hyp in enumerate(tree.hyps):
-            pairs = sorted(hyp.pairs)
-            lines.append(
-                f"tree {t} ({label}) hyp {h} parent {hyp.parent} r {hyp.r:.6f} "
-                f"w {hyp.log_w:+.6e} M {pairs}"
-            )
-    return "\n".join(lines)
-
-
 def _check_range(value: int, name: str, upper: int = _COUNT_GUARD) -> None:
     if not 0 <= value <= upper:
         raise SizeLimitError(f"{name} must lie in [0, {upper}], got {value}")

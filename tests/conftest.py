@@ -5,6 +5,8 @@ import pytest
 
 from pmbm.clutter import IidClusterClutter, Region, nb_from_mean_dispersion
 from pmbm.densities import LinearGaussianMotion, LinearGaussianSensor
+from pmbm.filtering import update
+from pmbm.hypotheses import validate_global
 
 
 @pytest.fixture
@@ -52,3 +54,35 @@ class CountingClutter:
 def counting_clutter():
     """Wrapper class that counts ``log_density`` calls per measurement set."""
     return CountingClutter
+
+
+def checked_update(*args, **kwargs):
+    """``update`` whose every output global hypothesis must partition the
+    tracked measurement pairs."""
+    out = update(*args, **kwargs)
+    for g in out.globals_:
+        assert validate_global(g, out.trees, out.clutter_trees, out.universe)
+    return out
+
+
+def plain_state(d):
+    """Every field of a ``PmbmDensity`` as plain tuples, compared with ``==``."""
+
+    def dens(x):
+        return None if x is None else (x.mean.tolist(), x.cov.tolist())
+
+    def pairs(h):
+        return tuple(sorted(h.pairs))
+
+    return (
+        d.step,
+        tuple(d.ppp.log_w),
+        tuple(dens(c) for c in d.ppp.comps),
+        tuple(
+            (t.origin, tuple((h.log_w, h.r, dens(h.density), pairs(h), h.parent) for h in t.hyps))
+            for t in d.trees
+        ),
+        tuple(tuple((h.log_w, pairs(h), h.parent) for h in t.hyps) for t in d.clutter_trees),
+        tuple((g.log_w, g.clutter, g.berns) for g in d.globals_),
+        tuple(sorted(d.universe)),
+    )

@@ -66,6 +66,14 @@ def test_non_finite_scenario_value_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: gate must be finite\n"
 
 
+def test_negative_estimator_threshold_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "negative-threshold.yaml"
+    cfg.write_text("estimator: existence-threshold\nestimator_threshold: -0.5\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--filters", "a-pmbm"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: estimator_threshold must be a probability\n"
+
+
 def test_bad_subcommand_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

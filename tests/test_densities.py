@@ -61,6 +61,15 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="non-finite"):
             build()
 
+    @pytest.mark.parametrize("R", [-np.eye(2), np.zeros((2, 2))], ids=["negative", "zero"])
+    def test_non_pd_measurement_noise_rejected(self, R):
+        with pytest.raises(ConfigurationError, match="measurement noise is not positive definite"):
+            LinearGaussianSensor(np.eye(2), R, 0.9)
+
+    def test_singular_process_noise_accepted(self):
+        motion = LinearGaussianMotion(np.eye(2), np.zeros((2, 2)), 0.99)
+        assert not motion.Q.any()
+
     def test_user_density_keeps_its_factor(self, monkeypatch):
         from scipy.stats import multivariate_normal
 
@@ -357,9 +366,10 @@ class TestFactorOnceKernel:
         singular = LinearGaussianMotion(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0)
         with pytest.raises(NumericalError):
             kalman_predict(d, singular)
-        blind = LinearGaussianSensor(np.zeros((1, 2)), np.zeros((1, 1)), 0.9)
-        with pytest.raises(NumericalError):
-            kalman_update(d, blind, [0.0])
+        # A sensor whose noise would make the innovation singular is refused
+        # when it is built, so no update can meet it.
+        with pytest.raises(ConfigurationError, match="not positive definite"):
+            LinearGaussianSensor(np.zeros((1, 2)), np.zeros((1, 1)), 0.9)
 
     def test_user_non_pd_covariance_is_configuration(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
+from conftest import checked_update, plain_state
 from pmbm.clutter import (
     ClutterSource,
     CompositeClutter,
@@ -30,14 +30,11 @@ from pmbm.errors import ConfigurationError
 from pmbm.filtering import (
     FilterConfig,
     PmbmDensity,
-    density_dump,
     estimate,
-    from_json_obj,
     initial_density,
     predict,
     project_to_pmb,
     reduce,
-    to_json_obj,
     update,
 )
 from pmbm.hypotheses import (
@@ -139,12 +136,12 @@ class TestPredict:
 
 
 class TestUpdateArbitrary:
-    CFG = FilterConfig(clutter_regime="arbitrary", validate=True)
+    CFG = FilterConfig(clutter_regime="arbitrary")
 
     def test_empty_scan_misses_every_track(self):
         d = one_track_density(0.8, ppp=GaussianMixture([math.log(0.5)], [GaussianDensity(np.zeros(1), np.eye(1))]))
         clutter = nb_line_clutter()
-        out = update(d, np.zeros((0, 1)), PointTargetModel(scalar_sensor()), clutter, self.CFG)
+        out = checked_update(d, np.zeros((0, 1)), PointTargetModel(scalar_sensor()), clutter, self.CFG)
         assert out.step == 1
         assert len(out.globals_) == len(d.globals_) == 1
         assert out.globals_[0].log_w == 0.0
@@ -160,7 +157,7 @@ class TestUpdateArbitrary:
         d = ppp_only_density(log_w=0.0, mean=0.0, var=1.0)
         clutter = nb_line_clutter()
         z = np.array([[0.5]])
-        out = update(d, z, PointTargetModel(scalar_sensor()), clutter, self.CFG)
+        out = checked_update(d, z, PointTargetModel(scalar_sensor()), clutter, self.CFG)
         assert len(out.globals_) == count_hypotheses("point", "arbitrary", 0, 1) == 2
         assert len(out.trees) == 1
         assert out.trees[0].origin == ("meas", 1, (1,))
@@ -178,7 +175,7 @@ class TestUpdateArbitrary:
     def test_general_model_partitions_two_measurements(self):
         d = ppp_only_density(var=4.0)
         model = ExtendedTargetModel(scalar_sensor(), 1.5)
-        out = update(d, np.array([[0.3], [-0.4]]), model, nb_line_clutter(), self.CFG)
+        out = checked_update(d, np.array([[0.3], [-0.4]]), model, nb_line_clutter(), self.CFG)
         # clutter/clutter, clutter/own x2, own/own split or joint
         assert len(out.globals_) == 5
         assert_allclose(logsumexp(global_weights(out)), 0.0, atol=1e-9)
@@ -186,9 +183,9 @@ class TestUpdateArbitrary:
             assert validate_global(g, out.trees, out.clutter_trees, out.universe)
 
     def test_empty_intensity_never_births_tracks(self):
-        cfg = FilterConfig(clutter_regime="arbitrary", mode="mbm", validate=True)
+        cfg = FilterConfig(clutter_regime="arbitrary", mode="mbm")
         d = one_track_density(0.9)
-        out = update(d, np.array([[0.2], [0.6]]), PointTargetModel(scalar_sensor()), nb_line_clutter(), cfg)
+        out = checked_update(d, np.array([[0.2], [0.6]]), PointTargetModel(scalar_sensor()), nb_line_clutter(), cfg)
         assert len(out.trees) == 1
         assert all(t.origin[0] != "meas" for t in out.trees)
         # clutter/clutter, clutter/track, track/clutter
@@ -196,12 +193,12 @@ class TestUpdateArbitrary:
 
     def test_weights_normalized_after_update(self):
         d = one_track_density(0.7, ppp=GaussianMixture([0.0], [GaussianDensity(np.zeros(1), np.eye(1))]))
-        out = update(d, np.array([[0.1], [1.2]]), PointTargetModel(scalar_sensor()), nb_line_clutter(), self.CFG)
+        out = checked_update(d, np.array([[0.1], [1.2]]), PointTargetModel(scalar_sensor()), nb_line_clutter(), self.CFG)
         assert_allclose(logsumexp(global_weights(out)), 0.0, atol=1e-9)
 
     def test_scan_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            update(
+            checked_update(
                 ppp_only_density(),
                 np.zeros((1, 2)),
                 PointTargetModel(scalar_sensor()),
@@ -215,10 +212,10 @@ class TestUpdateArbitrary:
         # Before this check, the arbitrary regime silently took the forced
         # all-clutter fallback and the merged one failed in moment matching.
         clutter = nb_line_clutter() if regime == "arbitrary" else PoissonClutter(2.0, LINE)
-        cfg = FilterConfig(clutter_regime=regime, validate=True)
+        cfg = FilterConfig(clutter_regime=regime)
         d = ppp_only_density()
         with pytest.raises(ConfigurationError, match="non-finite"):
-            update(d, np.array([[0.5], [bad]]), PointTargetModel(scalar_sensor()), clutter, cfg)
+            checked_update(d, np.array([[0.5], [bad]]), PointTargetModel(scalar_sensor()), clutter, cfg)
 
     @given(
         r=st.floats(min_value=0.0, max_value=0.95),
@@ -246,7 +243,7 @@ class TestUpdateArbitrary:
         d = one_track_density(1.0)
         clutter = nb_line_clutter()
         with pytest.warns(UserWarning, match="forced all-clutter fallback"):
-            out = update(d, np.zeros((0, 1)), PointTargetModel(scalar_sensor(1.0)), clutter, self.CFG)
+            out = checked_update(d, np.zeros((0, 1)), PointTargetModel(scalar_sensor(1.0)), clutter, self.CFG)
         assert [g.log_w for g in out.globals_] == [0.0]
         miss = out.trees[0].hyps[out.globals_[0].berns[0]]
         assert miss.log_w == NEG_INF and miss.r == 0.0 and miss.density is None
@@ -255,8 +252,8 @@ class TestUpdateArbitrary:
     def test_general_model_empty_scan_enumerates_at_smallest_limit(self):
         d = one_track_density(0.6)
         model = ExtendedTargetModel(scalar_sensor(), 1.5)
-        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=1, validate=True)
-        out = update(d, np.zeros((0, 1)), model, nb_line_clutter(), cfg)
+        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=1)
+        out = checked_update(d, np.zeros((0, 1)), model, nb_line_clutter(), cfg)
         assert [g.log_w for g in out.globals_] == [0.0]
         fac = 1.0 - 0.6 + 0.6 * math.exp(model.log_f_empty())
         assert_allclose(out.trees[0].hyps[0].r, 0.6 * math.exp(model.log_f_empty()) / fac, rtol=1e-12)
@@ -330,8 +327,8 @@ class TestUpdateMergedAndComposite:
     def test_composite_tracks_one_history_per_source(self):
         src = ClutterSource(np.array([5.0]), 0.8, 1.0, np.array([[1.0]]))
         clutter = CompositeClutter(PoissonClutter(2.0, LINE), (src,))
-        cfg = FilterConfig(clutter_regime="composite", validate=True)
-        out = update(ppp_only_density(), np.array([[0.5]]), PointTargetModel(scalar_sensor()), clutter, cfg)
+        cfg = FilterConfig(clutter_regime="composite")
+        out = checked_update(ppp_only_density(), np.array([[0.5]]), PointTargetModel(scalar_sensor()), clutter, cfg)
         assert len(out.clutter_trees) == 1
         assert_allclose(logsumexp(global_weights(out)), 0.0, atol=1e-9)
         # PPP part folds into the new-track existence: strictly below one.
@@ -379,7 +376,7 @@ class TestClutterCache:
             [math.log(3.0)],
             [GaussianDensity(np.array([150.0, 0.0, 150.0, 0.0]), np.diag([2500.0, 1.0, 2500.0, 1.0]))],
         )
-        cfg = FilterConfig(clutter_regime=regime, max_global_hyps=20, validate=True)
+        cfg = FilterConfig(clutter_regime=regime, max_global_hyps=20)
         gibbs_calls = _gibbs_counter(monkeypatch)
         rng = np.random.default_rng(4)
         targets = np.array([[60.0, 1.0, 80.0, 0.0], [200.0, -1.0, 150.0, 1.0], [120.0, 0.0, 240.0, -1.0]])
@@ -390,12 +387,12 @@ class TestClutterCache:
             scan = np.concatenate([targets @ pos_sensor.H.T + 2.0 * rng.standard_normal((3, 2)), plain.sample(rng)])
             d_plain = predict(d_plain, cv_motion, birth)
             d_wrapped = predict(d_wrapped, cv_motion, birth)
-            d_plain = update(d_plain, scan, model, plain, cfg, seed=3)
+            d_plain = checked_update(d_plain, scan, model, plain, cfg, seed=3)
             counter.calls.clear()
             gibbs_calls.clear()
-            d_wrapped = update(d_wrapped, scan, model, wrapped, cfg, seed=3)
+            d_wrapped = checked_update(d_wrapped, scan, model, wrapped, cfg, seed=3)
             assert counter.calls and max(counter.calls.values()) == 1
-            assert to_json_obj(d_wrapped) == to_json_obj(d_plain)
+            assert plain_state(d_wrapped) == plain_state(d_plain)
             shared = max(shared, len(gibbs_calls))
             d_plain, d_wrapped = reduce(d_plain, cfg), reduce(d_wrapped, cfg)
         # The sampler ran for several predicted global hypotheses of one scan,
@@ -433,8 +430,8 @@ class TestGateTable:
         model = PointTargetModel(scalar_sensor())
         for limit, sampled in ((product, 0), (product - 1, 1)):
             calls.clear()
-            cfg = FilterConfig(clutter_regime=regime, gate=4.0, exhaustive_limit=limit, validate=True)
-            update(d, self.SCAN, model, clutter, cfg)
+            cfg = FilterConfig(clutter_regime=regime, gate=4.0, exhaustive_limit=limit)
+            checked_update(d, self.SCAN, model, clutter, cfg)
             assert len(calls) == sampled, limit
 
     @pytest.mark.parametrize("limit", [10**6, 1])  # enumerated, sampled
@@ -445,8 +442,8 @@ class TestGateTable:
         Z = np.array([[0.5], [3.5], [8.0], [13.5], [20.2], [23.0]])
 
         def gate_breaches(gate):
-            cfg = FilterConfig(clutter_regime="arbitrary", gate=gate, exhaustive_limit=limit, validate=True)
-            out = update(d, Z, PointTargetModel(sensor), nb_line_clutter(), cfg)
+            cfg = FilterConfig(clutter_regime="arbitrary", gate=gate, exhaustive_limit=limit)
+            out = checked_update(d, Z, PointTargetModel(sensor), nb_line_clutter(), cfg)
             breaches, given = 0, 0
             for g in out.globals_:
                 for i, parent in enumerate(d.trees):
@@ -494,8 +491,8 @@ class TestNewTrackPosteriors:
         d = multi_track_density([0.0], r=0.99, var=0.1)
         d = PmbmDensity(ppp, d.trees, d.clutter_trees, d.globals_, d.universe, d.step)
         Z = np.array([[0.0], [50.0]])
-        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=1, validate=True)
-        out = update(d, Z, PointTargetModel(scalar_sensor()), nb_line_clutter(), cfg)
+        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=1)
+        out = checked_update(d, Z, PointTargetModel(scalar_sensor()), nb_line_clutter(), cfg)
         born = [t.origin for t in out.trees if t.origin[0] == "meas"]
         assert len(calls) == 1
         assert born == [("meas", 1, (2,))]
@@ -514,8 +511,8 @@ class TestCountTableStart:
         model = PointTargetModel(scalar_sensor())
 
         def weights(limit):
-            cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=limit, validate=True)
-            return np.sort(global_weights(update(d, Z, model, clutter, cfg)))
+            cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=limit)
+            return np.sort(global_weights(checked_update(d, Z, model, clutter, cfg)))
 
         want = weights(10**6)
         calls = _gibbs_counter(monkeypatch)
@@ -806,6 +803,14 @@ class TestEstimate:
         with pytest.raises(ConfigurationError):
             estimate(estimate_fixture([0.6]), method="viterbi")
 
+    @pytest.mark.parametrize("threshold", [-0.5, math.nan])
+    def test_negative_threshold_rejected(self, threshold):
+        # A negative threshold would report the mean of a hypothesis with
+        # r = 0, which has no density.
+        d = estimate_fixture([0.6, 0.0])
+        with pytest.raises(ConfigurationError, match="threshold"):
+            estimate(d, method="existence-threshold", threshold=threshold)
+
     def test_invariant_to_weight_rescaling(self):
         base = estimate_fixture([0.6, 0.3], weights=[math.log(0.2), math.log(0.8)])
         shifted = PmbmDensity(
@@ -826,7 +831,7 @@ class TestEstimate:
 
 class TestSequence:
     def test_three_steps_stay_consistent(self, pos_sensor, cv_motion, nb_clutter):
-        cfg = FilterConfig(clutter_regime="arbitrary", max_global_hyps=50, validate=True)
+        cfg = FilterConfig(clutter_regime="arbitrary", max_global_hyps=50)
         model = PointTargetModel(pos_sensor)
         birth = GaussianMixture(
             [math.log(5.0)],
@@ -840,7 +845,7 @@ class TestSequence:
         d = initial_density()
         for k, Z in enumerate(scans):
             d = predict(d, cv_motion, birth)
-            d = update(d, Z, model, nb_clutter, cfg, seed=7)
+            d = checked_update(d, Z, model, nb_clutter, cfg, seed=7)
             assert d.step == k + 1
             assert_allclose(logsumexp(global_weights(d)), 0.0, atol=1e-9)
             d = reduce(d, cfg)
@@ -850,21 +855,3 @@ class TestSequence:
         states = estimate(d)
         for x in states:
             assert x.shape == (4,)
-        dump = density_dump(d)
-        assert dump.startswith("step 3 ")
-
-    def test_json_round_trip(self):
-        d = two_global_posterior()
-        obj = to_json_obj(d)
-        # Serializable, and stable through a decode/encode cycle.
-        back = from_json_obj(json.loads(json.dumps(obj)))
-        assert to_json_obj(back) == obj
-        assert back.step == d.step
-        assert back.universe == d.universe
-        assert back.globals_ == d.globals_
-
-    def test_schema_version_checked(self):
-        obj = to_json_obj(two_global_posterior())
-        obj["schema_version"] = 99
-        with pytest.raises(ConfigurationError):
-            from_json_obj(obj)

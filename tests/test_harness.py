@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
+from conftest import checked_update
 from pmbm import harness
 from pmbm.clutter import ClutterSource, CompositeClutter, IidClusterClutter, PoissonClutter
 from pmbm.errors import ConfigurationError, NumericalError
@@ -79,6 +80,13 @@ class TestScenarioConfig:
             {"meas_noise": 0.0},
             {"accel_noise": 0.0},
             {"dt": -1.0},
+            # These used to fail only inside the runs: every run at step 1, a
+            # crash in estimation, or no births at all.
+            {"estimator": "median"},
+            {"estimator_threshold": -0.5},
+            {"estimator_threshold": 1.5},
+            {"birth_weight_first": -1.0},
+            {"birth_weight": -0.1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -549,9 +557,9 @@ class TestScenarioProperties:
     @given(run=edge_runs())
     @settings(max_examples=12, deadline=None)
     def test_every_filter_keeps_a_valid_state(self, run):
-        """Every filter runs each step with validation on, and after each
-        step its global weights are normalized and every global hypothesis
-        is a valid partition of the measurements."""
+        """For every filter, each update output and each step's state hold
+        only global hypotheses that are valid partitions of the
+        measurements, and each step's global weights are normalized."""
         cfg, kinds = run
         rng = np.random.default_rng(cfg.seed)
         truth = sample_ground_truth(cfg, truth_rng(cfg))
@@ -566,12 +574,12 @@ class TestScenarioProperties:
             scans.append(z)
         model, motion = PointTargetModel(sensor_model(cfg)), motion_model(cfg)
         for spec in filter_bank(cfg, ALL_FILTERS):
-            spec = replace(spec, filter_cfg=replace(spec.filter_cfg, validate=True))
             d = initial_density()
             for k, z in enumerate(scans, start=1):
-                with warnings.catch_warnings():
+                with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
                     # mbm cannot explain a point outside the region.
                     warnings.filterwarnings("ignore", "no association had positive weight")
+                    mp.setattr(harness, "update", checked_update)
                     d, _ = harness.filter_step(d, z, k, spec, cfg, model, motion, seed=k)
                 weights = [g.log_w for g in d.globals_]
                 assert abs(logsumexp(weights)) < 1e-9, (spec.name, k)

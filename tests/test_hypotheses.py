@@ -18,7 +18,6 @@ from pmbm.hypotheses import (
     MeasurementPair,
     bell,
     count_hypotheses,
-    dump_trees,
     stirling2,
     validate_global,
 )
@@ -142,11 +141,3 @@ class TestValidateGlobal:
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
             validate_global(GlobalHypothesis(0.0, (), (0,)), [], [], frozenset())
-
-
-def test_dump_has_one_line_per_hypothesis():
-    p1 = MeasurementPair(1, 1)
-    trees = [_tree([{p1}, set()])]
-    ctrees = [ClutterTree([ClutterLocalHypothesis(0.0, frozenset())])]
-    text = dump_trees(trees, ctrees)
-    assert len(text.strip().splitlines()) == 3
