@@ -256,22 +256,17 @@ class CompositeClutter:
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
 
-    MAX_ENUMERABLE = 12
-
     def log_density(self, Z) -> float:
         """log c(Z): sum over all assignments of each z to the PPP or to one
         source of the product of the component densities.
 
         The sum is organized by source on/off pattern, which reproduces the
         assignment enumeration exactly because each source factorizes over
-        its own measurements; tests cross-check against brute force.
+        its own measurements, so it costs O(2^s · m) for s sources and m
+        measurements; tests cross-check against brute force.
         """
         Z = _as_scan(Z)
         m = Z.shape[0]
-        if m > self.MAX_ENUMERABLE:
-            raise SizeLimitError(
-                f"composite clutter density limited to {self.MAX_ENUMERABLE} measurements, got {m}"
-            )
         n_src = len(self.sources)
         log_lam = self.ppp.log_intensity(Z) if m else np.zeros(0)
         src_log_l = [s.log_meas_density(Z) if m else np.zeros(0) for s in self.sources]

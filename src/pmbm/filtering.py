@@ -480,9 +480,7 @@ def _gibbs_associations(ws, g, g_idx, locs, seed):
     w_norm = math.exp(min(g.log_w, 0.0))
     sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, ws.k, g_idx))))
-    for gamma, lw in run_gibbs(problem, sweeps, rng):
-        if lw == NEG_INF:
-            continue
+    for gamma, lw, _ in run_gibbs(problem, sweeps, rng):
         src0 = tuple(j for j in range(m) if gamma[j] == 0)
         tree_cells = [() for _ in range(n)]
         own_cells = []
@@ -495,7 +493,7 @@ def _gibbs_associations(ws, g, g_idx, locs, seed):
             g_idx,
             (src0,) if n_src else (),
             tuple(tree_cells),
-            tuple(sorted(own_cells)),
+            tuple(own_cells),
             g.log_w + miss_base + lw,
         )
 

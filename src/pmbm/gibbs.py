@@ -11,10 +11,10 @@ weight of its own new track.
 
 Two engines produce association sets: exhaustive enumeration (small scans,
 and the oracle in tests) and a systematic-scan Gibbs sampler (everything
-else).  When the problem has no clutter column at all (``cache=None``,
-the merged parameterization where the PPP clutter intensity is folded into
-the new-track weights) the value 0 simply has zero mass and the sampler
-starts from the all-new-track vector instead of all-zero.
+else).  A problem with no clutter column (``cache=None``, the merged
+parameterization where the PPP clutter intensity is folded into the
+new-track weights) is the empty clutter process, c(∅) = 1 and c(Z ≠ ∅) = 0,
+and gets that count table, so the sampler runs it as any count table.
 
 One kernel, ``_candidates``, lists the values a coordinate may take with
 their log weights.  The sampler draws every coordinate from it, and
@@ -29,7 +29,7 @@ the measurement set; it is evaluated at most once per distinct subset per
 scan.  A clutter model whose density depends on the clutter set only
 through its size inside a region (``IidClusterClutter``) provides
 ``count_table(Z)``; the cache stores it when it is built, so once per scan
-in the filter update, and the sampler reads only that table.
+in the filter update, and the problem reads only that table.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ class AssociationProblem:
 
     ``cache`` is the scan's ``ClutterCache``; the filter update passes the
     one it shares across the scan's predicted global hypotheses.  None means
-    there is no clutter column (the merged regime).
+    there is no clutter column (the merged regime): the problem then holds
+    the count table of the empty clutter process, ``table[0] = 0`` and
+    ``-inf`` beyond.  ``_fast`` is the count table, or None when the
+    clutter density is opaque.
     """
 
     eta: list
@@ -73,7 +76,10 @@ class AssociationProblem:
         self.n, self.m = n, m
         if self.cache is not None and self.cache.Z.shape[0] != m:
             raise ConfigurationError("clutter cache belongs to a scan of another size")
-        self._fast = self.cache.count_table() if self.cache is not None else None
+        if self.cache is None:
+            self._fast = [0.0] + [NEG_INF] * m, [True] * m
+        else:
+            self._fast = self.cache.count_table()
         # Each row's (value, eta) candidates by increasing value, and a lookup.
         self._row_cands = cands = [[] for _ in range(m)]
         last = [-1] * m
@@ -92,9 +98,10 @@ class AssociationProblem:
         self._row_w = [dict(c) for c in cands]
 
     def _clutter_log_density(self, idx: tuple) -> float:
-        if self.cache is None:
-            return 0.0 if not idx else NEG_INF
-        return self.cache(idx)
+        if self._fast is None:
+            return self.cache(idx)
+        table, inside = self._fast
+        return table[len(idx)] if all(inside[j] for j in idx) else NEG_INF
 
     def _clutter_without_with(self, gamma, q: int) -> tuple:
         """log c of the clutter set of ``gamma`` without and with q."""
@@ -142,9 +149,7 @@ def _candidates(p: AssociationProblem, gamma, q: int, taken, mc: int):
     plus the clutter density without q.  Only values of positive weight are
     listed, on a scale shared by this call's values alone.
     """
-    if p.cache is None:
-        base, with_q = 0.0, NEG_INF
-    elif p._fast is not None:
+    if p._fast is not None:
         table, inside = p._fast
         base = table[mc]
         with_q = table[mc + 1] if inside[q] else NEG_INF
@@ -180,16 +185,16 @@ def gibbs_conditional(p: AssociationProblem, gamma, q: int) -> np.ndarray:
 
 
 def _start(p: AssociationProblem):
-    """All-new-track without a clutter column, else all-clutter, or None if
-    no association has positive weight.  With a count table, None when a
-    point outside the region has no tree or own track, and all-clutter when
-    ``table[m]`` is finite, even if a point outside the region makes its
-    weight zero: the chain leaves it by itself.  Otherwise, each measurement
-    takes its own track, else its highest free tree, else clutter, and None
-    if that has zero weight too."""
-    m, n = p.m, p.n
-    if p.cache is None:
-        return [n + j + 1 for j in range(m)]
+    """The chain's first state, or None if no association has positive
+    weight.  With a count table, None when a point outside the region has no
+    tree or own track, and all-clutter when ``table[m]`` is finite, even if a
+    point outside the region makes its weight zero: the chain leaves it by
+    itself.  With an opaque density, all-clutter if it has positive weight.
+    Otherwise each measurement takes its own track, else its highest free
+    tree, else clutter, and None if that has zero weight too; a problem
+    without a clutter column so starts all-new-track whenever every own
+    weight is finite."""
+    m = p.m
     if p._fast is not None:
         table, inside = p._fast
         if not all(i or c for i, c in zip(inside, p._row_cands)):
@@ -204,7 +209,7 @@ def _start(p: AssociationProblem):
     return gamma if assoc_log_weight(p, gamma) > NEG_INF else None
 
 
-def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = False):
+def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     """Systematic-scan Gibbs sampling of association vectors.
 
     Starts from ``_start(p)`` (no association when that is None), sweeps
@@ -212,26 +217,21 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
     every sweep.  Each coordinate is drawn by inverse CDF from the output of
     ``_candidates``, built once per call for each key of what it depends on:
     q, which of row q's tree candidates the other coordinates take, and
-    their clutter count (count table) or clutter set (general branch).
-    Returns the unique recorded vectors in first-visit order with their
-    unnormalized log weights; with ``collect_counts`` also returns a
-    visit-count dict.
+    their clutter count (count table) or clutter set (opaque density).
+    Returns ``(gamma, log_w, visits)`` for each unique recorded vector in
+    first-visit order: its unnormalized log weight and how many sweeps
+    ended on it.
     """
     if sweeps < 1:
         raise ConfigurationError("sweeps must be >= 1")
-    m = p.m
-    if m == 0:
-        empty = ((), assoc_log_weight(p, ()))
-        return ([empty], {(): sweeps}) if collect_counts else [empty]
-
-    n = p.n
+    m, n = p.m, p.n
     gamma = _start(p)
     if gamma is None:
-        return ([], {}) if collect_counts else []
+        return []
     # One bit per clutter coordinate (bit j) and per taken tree (bit m + v).
     allc = (1 << m) - 1
     state = sum(1 << (m + v if v else j) for j, v in enumerate(gamma) if v <= n)
-    general = allc if p.cache is not None and p._fast is None else 0
+    general = allc if p._fast is None else 0
     keymask = [general | sum(1 << (m + v) for v, _ in c if v <= n) for c in p._row_cands]
     memo = {}
     recorded: dict[tuple, int] = {}
@@ -258,10 +258,7 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng, collect_counts: bool = Fa
                 state ^= 1 << (m + new if new else q)
         key = tuple(gamma)
         recorded[key] = recorded.get(key, 0) + 1
-    out = [(g, assoc_log_weight(p, g)) for g in recorded]
-    if collect_counts:
-        return out, dict(recorded)
-    return out
+    return [(g, assoc_log_weight(p, g), visits) for g, visits in recorded.items()]
 
 
 def enumerate_associations(p: AssociationProblem, include_zero_weight: bool = True):

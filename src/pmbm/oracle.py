@@ -520,7 +520,8 @@ def check_composite(seed=0, trials=60):
 def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     """Sampler conditionals vs direct ratios (exact) and long-run visit
     frequencies vs exhaustive enumeration (total variation) on each sampler
-    branch: count table (NB), general (opaque Poisson density) and merged."""
+    kind of problem: count table (NB), general (opaque Poisson density) and
+    merged (no clutter column, sampled as the empty clutter process)."""
     rng = np.random.default_rng(seed)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     fails = []
@@ -567,7 +568,7 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
         p = build_problem(kind, 2, 3)
         vectors, log_ws = enumerate_associations(p, include_zero_weight=False)
         target = {tuple(v): math.exp(lw) for v, lw in zip(vectors, log_ws)}
-        samples, counts = run_gibbs(p, sweeps, np.random.default_rng(seed + 1 + i), collect_counts=True)
+        counts = {g: c for g, _, c in run_gibbs(p, sweeps, np.random.default_rng(seed + 1 + i))}
         total = sum(counts.values())
         tv = 0.0
         for v, prob in target.items():

@@ -22,7 +22,7 @@ from pmbm.clutter import (
     truncation_bound,
 )
 from pmbm.densities import GaussianDensity, gaussian_logpdf
-from pmbm.errors import ConfigurationError, SizeLimitError
+from pmbm.errors import ConfigurationError
 
 NEG_INF = float("-inf")
 
@@ -158,10 +158,20 @@ class TestComposite:
         want = float(np.logaddexp.reduce(terms))
         assert_allclose(comp.log_density(Z), want, atol=1e-10)
 
-    def test_guard_on_large_sets(self, region):
-        comp = CompositeClutter(PoissonClutter(5.0, region), (self._source(),))
-        with pytest.raises(SizeLimitError):
-            comp.log_density(region.sample(np.random.default_rng(0), 13))
+    def test_large_set_matches_brute_force(self, rng, region):
+        """13 measurements, seven of them near the source: the sum over source
+        on/off patterns equals the sum over all 2^13 PPP/source splits."""
+        src = self._source()
+        ppp = PoissonClutter(5.0, region)
+        comp = CompositeClutter(ppp, (src,))
+        Z = np.vstack([src.location + 3.0 * rng.standard_normal((7, 2)), region.sample(rng, 6)])
+        terms = []
+        for mask in range(1 << 13):
+            to_src = [j for j in range(13) if mask >> j & 1]
+            to_ppp = [j for j in range(13) if not mask >> j & 1]
+            terms.append(ppp.log_density(Z[to_ppp]) + src.log_density(Z[to_src]))
+        want = float(np.logaddexp.reduce(terms))
+        assert_allclose(comp.log_density(Z), want, atol=1e-10)
 
     def test_source_covariance_validated_on_construction(self):
         with pytest.raises(ConfigurationError):

@@ -324,6 +324,44 @@ class TestUpdateMergedAndComposite:
         with pytest.raises(ConfigurationError, match="clutter trees"):
             update(d, np.array([[0.5]]), PointTargetModel(scalar_sensor()), clutter, cfg)
 
+    def test_merged_point_no_track_explains_takes_forced_fallback(self):
+        """Empty PPP: the point outside the clutter region has no clutter
+        intensity, no birth and no gating track, so no association has
+        positive weight.  The sampled path (limit 1) takes the same forced
+        fallback as enumeration."""
+        d = one_track_density(0.8, mean=50.0)
+        clutter = PoissonClutter(2.0, Region((0.0,), (100.0,)))
+        Z = np.array([[50.5], [-30.0], [20.0]])
+        states = []
+        for limit in (1, 10**6):
+            cfg = FilterConfig(clutter_regime="ppp-merged", exhaustive_limit=limit)
+            with pytest.warns(UserWarning, match="forced all-clutter fallback"):
+                out = checked_update(d, Z, PointTargetModel(scalar_sensor()), clutter, cfg)
+            states.append(plain_state(out))
+        assert states[0] == states[1]
+
+    def test_arbitrary_regime_composite_model_on_a_long_scan(self):
+        """A composite model as the one clutter density of the arbitrary
+        regime: log c(Z) sums over source on/off patterns, so a 20-point
+        scan is evaluated, not refused."""
+        region = Region((0.0, 0.0), (300.0, 300.0))
+        src = ClutterSource(np.array([100.0, 100.0]), 0.9, 2.0, 9.0 * np.eye(2))
+        clutter = CompositeClutter(PoissonClutter(5.0, region), (src,))
+        sensor = LinearGaussianSensor(np.eye(2), 4.0 * np.eye(2), 0.9)
+        rng = np.random.default_rng(4)
+        Z = np.vstack([src.location + 3.0 * rng.standard_normal((8, 2)), region.sample(rng, 12)])
+        comp = GaussianDensity(np.array([150.0, 150.0]), 1e4 * np.eye(2))
+        tree = BernoulliTree(
+            [LocalHypothesis(0.0, 0.8, GaussianDensity(Z[10], 4.0 * np.eye(2)), frozenset())],
+            ("birth", 0, 0),
+        )
+        d = PmbmDensity(GaussianMixture([math.log(0.5)], [comp]), [tree], [],
+                        [GlobalHypothesis(0.0, (), (0,))], frozenset(), 0)
+        cfg = FilterConfig(clutter_regime="arbitrary")
+        out = checked_update(d, Z, PointTargetModel(sensor), clutter, cfg)
+        assert len(out.globals_) > 1
+        assert_allclose(logsumexp(global_weights(out)), 0.0, atol=1e-9)
+
     def test_composite_tracks_one_history_per_source(self):
         src = ClutterSource(np.array([5.0]), 0.8, 1.0, np.array([[1.0]]))
         clutter = CompositeClutter(PoissonClutter(2.0, LINE), (src,))

@@ -175,7 +175,7 @@ class TestClutterCache:
         assert max(counted.calls.values()) == 1
         # Weights come from the same evaluations a fresh cache makes.
         fresh = AssociationProblem(base.eta, base.own, ClutterCache(counted.inner, base.cache.Z))
-        for gamma, lw in out:
+        for gamma, lw, _ in out:
             assert lw == assoc_log_weight(fresh, gamma)
 
     def test_cache_of_another_scan_size_rejected(self):
@@ -284,7 +284,7 @@ class TestRunGibbs:
     def test_empty_scan(self):
         p = small_problem(1, 0)
         out = run_gibbs(p, 5, np.random.default_rng(0))
-        assert out == [((), p.cache.clutter.log_density(p.cache.Z))]
+        assert out == [((), p.cache.clutter.log_density(p.cache.Z), 5)]
 
     def test_deterministic_given_seed(self):
         p = small_problem(2, 3)
@@ -296,19 +296,20 @@ class TestRunGibbs:
         p = small_problem(1, 2)
         out = run_gibbs(p, 1, np.random.default_rng(5))
         assert len(out) == 1
-        gamma, log_w = out[0]
+        gamma, log_w, visits = out[0]
         assert len(gamma) == 2
         assert log_w == assoc_log_weight(p, gamma)
+        assert visits == 1
 
     def test_all_vectors_in_gamma(self):
         p = small_problem(2, 3)
-        for gamma, _ in run_gibbs(p, 500, np.random.default_rng(2)):
+        for gamma, _, _ in run_gibbs(p, 500, np.random.default_rng(2)):
             positive = [v for v in gamma if v > 0]
             assert len(positive) == len(set(positive))
 
     def test_merged_problem_never_emits_clutter(self):
         p = small_problem(1, 2, clutter=False)
-        for gamma, _ in run_gibbs(p, 200, np.random.default_rng(7)):
+        for gamma, _, _ in run_gibbs(p, 200, np.random.default_rng(7)):
             assert 0 not in gamma
 
     def test_visit_frequencies_approach_enumeration(self):
@@ -317,8 +318,9 @@ class TestRunGibbs:
         p = small_problem(1, 2, seed=42)
         vectors, log_w = enumerate_associations(p, include_zero_weight=False)
         want = {g: math.exp(lw) for g, lw in zip(vectors, log_w)}
-        _, counts = run_gibbs(p, 40_000, np.random.default_rng(9), collect_counts=True)
+        counts = {g: c for g, _, c in run_gibbs(p, 40_000, np.random.default_rng(9))}
         total = sum(counts.values())
+        assert total == 40_000
         tv = 0.5 * sum(
             abs(counts.get(g, 0) / total - w) for g, w in want.items()
         )
@@ -331,8 +333,8 @@ class TestRunGibbs:
 
 
 def _problem_for_branch(branch, seed):
-    """A 3-track, 5-measurement problem on the sampler's count-table,
-    general (opaque clutter density) or merged (no clutter) branch."""
+    """A 3-track, 5-measurement problem with a count table, an opaque
+    clutter density (general) or no clutter column (merged)."""
     base = small_problem(n=3, m=5, seed=seed, clutter=branch != "merged")
     if branch == "general":
         cache = ClutterCache(PoissonClutter(3.0, REGION10), base.cache.Z)
@@ -362,11 +364,9 @@ def _replay(p, sweeps, seed, visits=None):
 def _dependency_key(p, q, gamma):
     """What the conditional of coordinate q depends on: which of row q's
     candidate trees the other coordinates take, and their clutter count
-    (count table) or clutter set (general branch)."""
+    (count table) or clutter set (opaque density)."""
     others = [v for j, v in enumerate(gamma) if j != q]
     taken = frozenset(v for v, _ in p._row_cands[q] if v <= p.n and v in others)
-    if p.cache is None:
-        return q, taken
     clutter = frozenset(j for j, v in enumerate(gamma) if j != q and v == 0)
     return q, taken, len(clutter) if p._fast is not None else clutter
 
@@ -376,9 +376,12 @@ class TestSamplerRunsCheckedConditional:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sweeps_replay_through_conditional(self, branch, seed):
         p = _problem_for_branch(branch, seed)
-        assert (p._fast is not None) == (branch == "count-table")
+        assert (p._fast is None) == (branch == "general")
         assert (p.cache is None) == (branch == "merged")
-        got = [g for g, _ in run_gibbs(p, 40, np.random.default_rng(seed))]
+        if branch == "merged":
+            # No clutter column: the count table of the empty clutter process.
+            assert p._fast == ([0.0] + [NEG_INF] * p.m, [True] * p.m)
+        got = [g for g, _, _ in run_gibbs(p, 40, np.random.default_rng(seed))]
         assert len(got) > 1
         assert got == _replay(p, 40, seed)
 
@@ -437,8 +440,9 @@ class TestSamplerProperties:
             with pytest.raises(NumericalError):
                 _replay(p, sweeps, seed)
             return
-        assert [g for g, _ in got] == _replay(p, sweeps, seed)
-        assert all(lw > NEG_INF for _, lw in got)
+        assert [g for g, _, _ in got] == _replay(p, sweeps, seed)
+        assert all(lw > NEG_INF for _, lw, _ in got)
+        assert sum(c for _, _, c in got) == (sweeps if got else 0)
 
 
 class TestStart:
@@ -450,13 +454,12 @@ class TestStart:
         # so it starts on the tree and measurement 1 on its own track.
         p = self._general([[0.5], [0.1]], [NEG_INF, 0.2], [[-5.0, 1.0], [3.0, 3.0]])
         assert _start(p) == [1, 3]
-        assert all(g[0] != 0 for g, _ in run_gibbs(p, 50, np.random.default_rng(0)))
+        assert all(g[0] != 0 for g, _, _ in run_gibbs(p, 50, np.random.default_rng(0)))
 
     def test_no_positive_start_returns_no_association(self):
         p = self._general([[NEG_INF], [0.1]], [NEG_INF, 0.2], [[-5.0, 1.0], [3.0, 3.0]])
         assert _start(p) is None
         assert run_gibbs(p, 10, np.random.default_rng(0)) == []
-        assert run_gibbs(p, 10, np.random.default_rng(0), collect_counts=True) == ([], {})
 
     def test_count_table_row_without_support_gives_no_association(self):
         # Measurement 0 lies outside the region, no tree lists it and its own
@@ -492,4 +495,18 @@ class TestStart:
         p = AssociationProblem(base.eta, base.own, ClutterCache(base.cache.clutter, Z))
         assert p._fast[1] == [False, True, True]
         assert _start(p) == [0, 0, 0]
-        assert all(g[0] != 0 for g, _ in run_gibbs(p, 20, np.random.default_rng(0)))
+        assert all(g[0] != 0 for g, _, _ in run_gibbs(p, 20, np.random.default_rng(0)))
+
+    def test_merged_starts_on_own_tracks_else_gives_no_association(self):
+        # Without a clutter column, all-new-track when every own weight is
+        # finite; a row with only a tree starts on it; a row with neither
+        # has no positive association, which the enumeration agrees with.
+        def merged(table, own):
+            return make_problem(table, own, None, [[1.0], [2.0]])
+
+        assert _start(merged([[0.5], [0.1]], [0.3, -0.2])) == [2, 3]
+        assert _start(merged([[NEG_INF], [0.1]], [0.3, NEG_INF])) == [2, 1]
+        p = merged([[0.5], [NEG_INF]], [0.3, NEG_INF])
+        assert _start(p) is None
+        assert run_gibbs(p, 10, np.random.default_rng(0)) == []
+        assert enumerate_associations(p, include_zero_weight=False)[0] == []

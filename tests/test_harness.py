@@ -17,7 +17,7 @@ from conftest import checked_update
 from pmbm import harness
 from pmbm.clutter import ClutterSource, CompositeClutter, IidClusterClutter, PoissonClutter
 from pmbm.errors import ConfigurationError, NumericalError
-from pmbm.filtering import FilterConfig, initial_density
+from pmbm.filtering import FilterConfig, initial_density, update
 from pmbm.harness import (
     ALL_FILTERS,
     DEFAULT_FILTERS,
@@ -48,6 +48,7 @@ from pmbm.harness import (
 )
 from pmbm.hypotheses import validate_global
 from pmbm.measmodel import PointTargetModel
+from pmbm.oracle import brute_force_update, compare_signatures, density_signature
 
 # Small but otherwise faithful variant of the default scenario.
 TINY = ScenarioConfig(steps=6, runs=2, max_global_hyps=20, clutter_mean=3.0, clutter_dispersion=4.0)
@@ -430,19 +431,21 @@ class TestExperiment:
         assert not rec.failed, rec.error
 
     def test_size_limit_failure_is_recorded(self):
-        # Composite clutter evaluated as an opaque density is guarded at 12
-        # measurements; the sampler reaches the guard on a 13-point scan.
+        # Two clutter sources are associated exhaustively only; a 13-point
+        # scan has 3^13 candidate labelings, past the exhaustive limit.
         cfg = replace(TINY, steps=2, runs=1)
-        source = ClutterSource((100.0, 200.0), 0.5, 2.0, 25.0 * np.eye(2))
+        sources = tuple(
+            ClutterSource(loc, 0.5, 2.0, 25.0 * np.eye(2)) for loc in ((100.0, 200.0), (200.0, 100.0))
+        )
         spec = FilterSpec(
-            "c-arbitrary",
-            FilterConfig(clutter_regime="arbitrary", max_global_hyps=5),
-            CompositeClutter(PoissonClutter(2.0, region(cfg)), (source,)),
+            "c-composite",
+            FilterConfig(clutter_regime="composite", max_global_hyps=5),
+            CompositeClutter(PoissonClutter(2.0, region(cfg)), sources),
         )
         scans = [np.random.default_rng(0).uniform(0.0, 300.0, (13, 2))] * 2
         rec = run_trial(cfg, spec, GroundTruth([], 2), scans, 0, assoc_seed=1)
         assert rec.failed
-        assert rec.error == "step 1: composite clutter density limited to 12 measurements, got 13"
+        assert rec.error == "step 1: multi-source association spaces must fit the exhaustive limit"
 
 
     def test_configuration_error_mid_run_is_recorded(self):
@@ -553,13 +556,38 @@ def edge_runs(draw):
     return cfg, draw(st.lists(kinds, min_size=cfg.steps, max_size=cfg.steps))
 
 
+def oracle_checked_update(d, Z, model, clutter, cfg, seed=0):
+    """``checked_update``; on a predicted state of at most 3 trees and a scan
+    of at most 3 points, also the exact update (no gate, enumeration only)
+    against the brute-force joint enumeration."""
+    out = checked_update(d, Z, model, clutter, cfg, seed=seed)
+    if len(d.trees) <= 3 and len(Z) <= 3:
+        exact = replace(cfg, gate=1e12, exhaustive_limit=10**9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            post = update(d, Z, model, clutter, exact)
+        if cfg.clutter_regime == "arbitrary":
+            sources, ppp_c = [clutter], None
+        else:
+            sources, ppp_c = [], clutter
+        want = brute_force_update(d, Z, model, sources, ppp_c)
+        if any("forced all-clutter fallback" in str(w.message) for w in caught):
+            # No association has positive weight; brute force agrees.
+            assert all(e.log_w == -math.inf for e in want.values())
+        else:
+            ok, lines = compare_signatures(density_signature(post, d, len(sources)), want)
+            assert ok, lines[:5]
+    return out
+
+
 class TestScenarioProperties:
     @given(run=edge_runs())
     @settings(max_examples=12, deadline=None)
     def test_every_filter_keeps_a_valid_state(self, run):
         """For every filter, each update output and each step's state hold
         only global hypotheses that are valid partitions of the
-        measurements, and each step's global weights are normalized."""
+        measurements, and each step's global weights are normalized.  On
+        small steps the exact update matches the brute-force oracle."""
         cfg, kinds = run
         rng = np.random.default_rng(cfg.seed)
         truth = sample_ground_truth(cfg, truth_rng(cfg))
@@ -579,7 +607,7 @@ class TestScenarioProperties:
                 with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
                     # mbm cannot explain a point outside the region.
                     warnings.filterwarnings("ignore", "no association had positive weight")
-                    mp.setattr(harness, "update", checked_update)
+                    mp.setattr(harness, "update", oracle_checked_update)
                     d, _ = harness.filter_step(d, z, k, spec, cfg, model, motion, seed=k)
                 weights = [g.log_w for g in d.globals_]
                 assert abs(logsumexp(weights)) < 1e-9, (spec.name, k)
