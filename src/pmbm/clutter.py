@@ -266,10 +266,12 @@ class CompositeClutter:
         measurements; tests cross-check against brute force.
         """
         Z = _as_scan(Z)
-        m = Z.shape[0]
         n_src = len(self.sources)
-        log_lam = self.ppp.log_intensity(Z) if m else np.zeros(0)
-        src_log_l = [s.log_meas_density(Z) if m else np.zeros(0) for s in self.sources]
+        # Row 0 is log λ(z) of the PPP, row 1+s log(rate_s N(z; source s)).
+        per_z = np.stack(
+            [self.ppp.log_intensity(Z)]
+            + [math.log(s.rate) + s.log_meas_density(Z) for s in self.sources]
+        )
         terms = []
         for pattern in range(1 << n_src):
             on = [s for s in range(n_src) if pattern >> s & 1]
@@ -285,11 +287,7 @@ class CompositeClutter:
                     t += math.log(1.0 - src.pd) if src.pd < 1.0 else NEG_INF
             if t == NEG_INF:
                 continue
-            for j in range(m):
-                per_z = [log_lam[j]] + [
-                    math.log(self.sources[s].rate) + src_log_l[s][j] for s in on
-                ]
-                t += float(logsumexp(per_z))
+            t += float(np.sum(logsumexp(per_z[[0] + [1 + s for s in on]], axis=0)))
             terms.append(t)
         if not terms:
             return NEG_INF

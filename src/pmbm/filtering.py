@@ -398,13 +398,9 @@ def _enumerate_labelings(ws, g, gated):
     n, n_src = ws.n, len(ws.sources)
     options = []
     for j, trees in enumerate(gated):
-        opts = [("c", s) for s in range(n_src)]
-        for i in trees:
-            # For the general model the per-measurement gate only
-            # shortlists; cell factors are evaluated on full cells.
-            if ws.point and ws.det_info(i, g.berns[i], (j,))[0] == NEG_INF:
-                continue
-            opts.append(("t", i))
+        # The gate only shortlists: ``assemble`` evaluates the factor of each
+        # full cell and drops labelings whose weight is zero.
+        opts = [("c", s) for s in range(n_src)] + [("t", i) for i in trees]
         if not ws.point or ws.own_weight((j,)) > NEG_INF:
             opts.append(("own",))
         options.append(opts)

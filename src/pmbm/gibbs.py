@@ -9,27 +9,30 @@ interact.  Eta comes sparse, as the filter update holds it: per tree, the
 (measurement, log eta) pairs it can explain, and per measurement the log
 weight of its own new track.
 
-Two engines produce association sets: exhaustive enumeration (small scans,
-and the oracle in tests) and a systematic-scan Gibbs sampler (everything
-else).  A problem with no clutter column (``cache=None``, the merged
-parameterization where the PPP clutter intensity is folded into the
-new-track weights) is the empty clutter process, c(∅) = 1 and c(Z ≠ ∅) = 0,
-and gets that count table, so the sampler runs it as any count table.
+The filter enumerates small scans itself (``filtering``) and samples the
+rest with the systematic-scan Gibbs sampler here.  ``enumerate_associations``,
+the product of every row's candidates, is the sampler's exact reference,
+which the oracle and the tests judge it against.  A problem with no clutter
+column (``cache=None``, the merged parameterization where the PPP clutter
+intensity is folded into the new-track weights) is the empty clutter
+process, c(∅) = 1 and c(Z ≠ ∅) = 0, and gets that count table, so the
+sampler runs it as any count table.
 
 One kernel, ``_candidates``, lists the values a coordinate may take with
 their log weights.  The sampler draws every coordinate from it, and
 ``gibbs_conditional``, which the oracle checks, normalizes its output, so
 the checked conditional is the one that runs.
 
-Both engines and the final weights read the clutter set density through one
-``ClutterCache``, keyed by the sorted tuple of measurement indices left to
-clutter.  The filter update shares one cache per scan across all predicted
-global hypotheses, so ``log_density`` must be a deterministic function of
-the measurement set; it is evaluated at most once per distinct subset per
-scan.  A clutter model whose density depends on the clutter set only
-through its size inside a region (``IidClusterClutter``) provides
-``count_table(Z)``; the cache stores it when it is built, so once per scan
-in the filter update, and the problem reads only that table.
+The sampler, the enumeration and the final weights read the clutter set
+density through one ``ClutterCache``, keyed by the sorted tuple of
+measurement indices left to clutter.  The filter update shares one cache
+per scan across all predicted global hypotheses, so ``log_density`` must be
+a deterministic function of the measurement set; it is evaluated at most
+once per distinct subset per scan.  A clutter model whose density depends
+on the clutter set only through its size inside a region
+(``IidClusterClutter``) provides ``count_table(Z)``; the cache stores it
+when it is built, so once per scan in the filter update, and the problem
+reads only that table.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .clutter import ClutterCache
 from .errors import ConfigurationError, NumericalError, SizeLimitError
-from .hypotheses import count_hypotheses
 
 NEG_INF = float("-inf")
 _ENUM_GUARD = 1_000_000
@@ -103,28 +105,14 @@ class AssociationProblem:
         table, inside = self._fast
         return table[len(idx)] if all(inside[j] for j in idx) else NEG_INF
 
-    def _clutter_without_with(self, gamma, q: int) -> tuple:
-        """log c of the clutter set of ``gamma`` without and with q."""
-        others = tuple(j for j in range(self.m) if j != q and gamma[j] == 0)
-        return self.cache(others), self.cache(tuple(sorted(others + (q,))))
-
-
-def _in_gamma(gamma) -> bool:
-    seen = set()
-    for v in gamma:
-        if v > 0:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
-
 
 def assoc_log_weight(p: AssociationProblem, gamma) -> float:
     """Unnormalized log p(gamma): clutter set density times eta products."""
     gamma = [int(v) for v in gamma]
     if len(gamma) != p.m:
         raise ConfigurationError("association vector length does not match scan")
-    if not _in_gamma(gamma):
+    positive = [v for v in gamma if v > 0]
+    if len(set(positive)) < len(positive):
         return NEG_INF
     total = 0.0
     clutter_idx = []
@@ -154,7 +142,8 @@ def _candidates(p: AssociationProblem, gamma, q: int, taken, mc: int):
         base = table[mc]
         with_q = table[mc + 1] if inside[q] else NEG_INF
     else:
-        base, with_q = p._clutter_without_with(gamma, q)
+        others = tuple(j for j in range(p.m) if j != q and gamma[j] == 0)
+        base, with_q = p.cache(others), p.cache(tuple(sorted(others + (q,))))
     values, logws = ([0], [with_q]) if with_q > NEG_INF else ([], [])
     if base > NEG_INF:
         for v, w in p._row_cands[q]:
@@ -261,52 +250,25 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     return [(g, assoc_log_weight(p, g), visits) for g, visits in recorded.items()]
 
 
-def enumerate_associations(p: AssociationProblem, include_zero_weight: bool = True):
-    """All valid association vectors with normalized log weights.
-
-    With ``include_zero_weight`` the full structural set is produced (its
-    size matches count_hypotheses for point targets and one clutter model);
-    without it, branches whose weight is already zero are skipped.
+def enumerate_associations(p: AssociationProblem):
+    """All association vectors of positive weight, with normalized log
+    weights: the product of every row's candidates (clutter first when there
+    is a clutter column, then ``_row_cands``) in that order, each weighed by
+    ``assoc_log_weight``.  No vector when none has positive weight;
+    ``SizeLimitError`` when the product exceeds ``_ENUM_GUARD`` vectors.
     """
-    m = p.m
-    guard = count_hypotheses("point", "arbitrary", p.n, m)
-    if guard > _ENUM_GUARD:
-        raise SizeLimitError(f"association space too large to enumerate: {guard}")
-    vectors: list[tuple] = []
-    raw: list[float] = []
-    gamma = [0] * m
-    use_clutter = p.cache is not None
-
-    def recurse(j: int, taken: frozenset, acc: float, clutter_idx: tuple):
-        if j == m:
-            total = acc + p._clutter_log_density(clutter_idx)
-            vectors.append(tuple(gamma))
-            raw.append(total)
-            return
-        row = p._row_w[j]
-        if use_clutter:
-            gamma[j] = 0
-            recurse(j + 1, taken, acc, clutter_idx + (j,))
-        for v in range(1, p.n + 1):
-            if v in taken:
-                continue
-            w = row.get(v, NEG_INF)
-            if w == NEG_INF and not include_zero_weight:
-                continue
-            gamma[j] = v
-            recurse(j + 1, taken | {v}, acc + w, clutter_idx)
-        own = p.n + j + 1
-        w = row.get(own, NEG_INF)
-        if w > NEG_INF or include_zero_weight:
-            gamma[j] = own
-            recurse(j + 1, taken, acc + w, clutter_idx)
-        gamma[j] = 0
-
-    recurse(0, frozenset(), 0.0, ())
-    raw_arr = np.array(raw) if raw else np.zeros(0)
-    if raw_arr.size == 0:
+    head = [0] if p.cache is not None else []
+    rows = [head + [v for v, _ in cands] for cands in p._row_cands]
+    size = math.prod(len(r) for r in rows)
+    if size > _ENUM_GUARD:
+        raise SizeLimitError(f"association space too large to enumerate: {size}")
+    vectors, raw = [], []
+    for gamma in product(*rows):
+        w = assoc_log_weight(p, gamma)
+        if w > NEG_INF:
+            vectors.append(gamma)
+            raw.append(w)
+    if not raw:
         return [], np.zeros(0)
-    norm = logsumexp(raw_arr)
-    if norm == NEG_INF:
-        raise NumericalError("all enumerated associations have zero weight")
-    return vectors, raw_arr - norm
+    raw = np.array(raw)
+    return vectors, raw - logsumexp(raw)

@@ -566,7 +566,7 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     tvs = []
     for i, (kind, branch) in enumerate((("nb", "count-table"), ("ppp", "general"), (None, "merged"))):
         p = build_problem(kind, 2, 3)
-        vectors, log_ws = enumerate_associations(p, include_zero_weight=False)
+        vectors, log_ws = enumerate_associations(p)
         target = {tuple(v): math.exp(lw) for v, lw in zip(vectors, log_ws)}
         counts = {g: c for g, _, c in run_gibbs(p, sweeps, np.random.default_rng(seed + 1 + i))}
         total = sum(counts.values())

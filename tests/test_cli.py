@@ -87,3 +87,18 @@ def test_package_error_in_simulate_exits_one(monkeypatch, tmp_path, capsys, erro
     monkeypatch.setattr(cli, "experiment", fails)
     assert main(["simulate", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: no good\n"
+
+
+@pytest.mark.parametrize("check", ["update", "gibbs", "composite"])
+def test_failing_oracle_exits_one(monkeypatch, capsys, check):
+    # CI fails the build on an oracle only through this exit code.
+    seeds = []
+
+    def fails(seed):
+        seeds.append(seed)
+        return False, "report"
+
+    monkeypatch.setattr(cli, f"check_{check}", fails)
+    assert main(["oracle", "--check", check, "--seed", "3"]) == 1
+    assert seeds == [3]
+    assert capsys.readouterr().out == "report\n"

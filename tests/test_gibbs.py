@@ -1,6 +1,7 @@
 """Association-vector weights, exact conditionals, enumeration, and the
 systematic-scan Gibbs sampler."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from pmbm.clutter import (
     Region,
     nb_from_mean_dispersion,
 )
-from pmbm.errors import ConfigurationError, NumericalError
+from pmbm.errors import ConfigurationError, NumericalError, SizeLimitError
 from pmbm.gibbs import (
     AssociationProblem,
     _start,
@@ -279,6 +280,19 @@ class TestEnumerate:
             positive = [v for v in gamma if v > 0]
             assert len(positive) == len(set(positive))
 
+    def test_guard_reads_the_candidate_product(self):
+        # Three trees and an own track on each of 10 rows, no clutter column:
+        # 4**10 candidate vectors, past the guard.
+        assert 4**10 > gibbs._ENUM_GUARD
+        wide = AssociationProblem([[(j, 0.0) for j in range(10)]] * 3, [0.0] * 10)
+        with pytest.raises(SizeLimitError, match=str(4**10)):
+            enumerate_associations(wide)
+        # 30 rows that only clutter can take: one vector, however large m.
+        Z = REGION10.sample(np.random.default_rng(0), 30)
+        p = make_problem(np.zeros((30, 0)), [NEG_INF] * 30, PoissonClutter(3.0, REGION10), Z)
+        vectors, log_w = enumerate_associations(p)
+        assert vectors == [(0,) * 30] and log_w.tolist() == [0.0]
+
 
 class TestRunGibbs:
     def test_empty_scan(self):
@@ -316,7 +330,7 @@ class TestRunGibbs:
         """On a small problem the sweep-visit distribution converges to the
         normalized joint."""
         p = small_problem(1, 2, seed=42)
-        vectors, log_w = enumerate_associations(p, include_zero_weight=False)
+        vectors, log_w = enumerate_associations(p)
         want = {g: math.exp(lw) for g, lw in zip(vectors, log_w)}
         counts = {g: c for g, _, c in run_gibbs(p, 40_000, np.random.default_rng(9))}
         total = sum(counts.values())
@@ -412,11 +426,11 @@ REGION_OUT = Region((2.0, 2.0), (8.0, 8.0))
 
 
 @st.composite
-def problems(draw):
+def problems(draw, max_m=6):
     """Small problems on every sampler branch, with -inf eta entries and
     measurements outside the clutter region."""
     branch = draw(st.sampled_from(["count-table", "general", "merged"]))
-    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    n, m = draw(st.integers(0, 3)), draw(st.integers(1, max_m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     eta = np.where(rng.random((m, n)) < draw(st.sampled_from([0.0, 0.4])), NEG_INF,
                    rng.normal(size=(m, n)))
@@ -445,6 +459,55 @@ class TestSamplerProperties:
         assert sum(c for _, _, c in got) == (sweeps if got else 0)
 
 
+def _brute_force(p):
+    """Every vector of range(n+m+1)^m in lexicographic order with its raw
+    log weight, read from ``p.eta``, ``p.own`` and the clutter model alone;
+    a problem without a clutter column takes no clutter."""
+    n, m = p.n, p.m
+    eta = [dict(pairs) for pairs in p.eta]
+    clutter = {}
+    out = []
+    for gamma in itertools.product(range(n + m + 1), repeat=m):
+        trees = [v for v in gamma if 1 <= v <= n]
+        if len(trees) > len(set(trees)):
+            continue
+        w = 0.0
+        for j, v in enumerate(gamma):
+            if 1 <= v <= n:
+                w += eta[v - 1].get(j, NEG_INF)
+            elif v == n + j + 1:
+                w += p.own[j]
+            elif v:
+                w = NEG_INF
+        cell = tuple(j for j, v in enumerate(gamma) if v == 0)
+        if p.cache is None:
+            w += NEG_INF if cell else 0.0
+        else:
+            if cell not in clutter:
+                clutter[cell] = p.cache.clutter.log_density(p.cache.Z[list(cell)])
+            w += clutter[cell]
+        out.append((gamma, w))
+    return out
+
+
+class TestEnumerationProperties:
+    @given(p=problems(max_m=4), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_enumeration_is_the_positive_weight_set(self, p, seed):
+        raw = {g: w for g, w in _brute_force(p) if w > NEG_INF}
+        vectors, log_w = enumerate_associations(p)
+        assert vectors == list(raw)
+        if raw:
+            want = np.array(list(raw.values()))
+            assert_allclose(log_w, want - logsumexp(want), atol=1e-12)
+        try:
+            got = run_gibbs(p, 10, np.random.default_rng(seed))
+        except NumericalError:
+            got = []
+        for gamma, lw, _ in got:
+            assert lw == raw[gamma]
+
+
 class TestStart:
     def _general(self, table, own, Z):
         return make_problem(table, own, PoissonClutter(3.0, REGION10), Z)
@@ -463,7 +526,8 @@ class TestStart:
 
     def test_count_table_row_without_support_gives_no_association(self):
         # Measurement 0 lies outside the region, no tree lists it and its own
-        # track is impossible, so every association has zero weight.
+        # track is impossible, so every association has zero weight; the
+        # enumeration agrees.
         base = small_problem(n=1, m=3)
         Z = np.vstack([[-5.0, 1.0], base.cache.Z[1:]])
         table = table_of(base)
@@ -471,6 +535,8 @@ class TestStart:
         p = make_problem(table, [NEG_INF] + base.own[1:], base.cache.clutter, Z)
         assert _start(p) is None
         assert run_gibbs(p, 10, np.random.default_rng(0)) == []
+        vectors, log_w = enumerate_associations(p)
+        assert vectors == [] and log_w.size == 0
 
     @pytest.mark.parametrize("card", [PoissonCardinality(0.0), NegBinomialCardinality(1.0, 1.0)])
     def test_count_table_without_all_clutter_mass_starts_like_general(self, card, counting_clutter):
@@ -509,4 +575,4 @@ class TestStart:
         p = merged([[0.5], [NEG_INF]], [0.3, NEG_INF])
         assert _start(p) is None
         assert run_gibbs(p, 10, np.random.default_rng(0)) == []
-        assert enumerate_associations(p, include_zero_weight=False)[0] == []
+        assert enumerate_associations(p)[0] == []
