@@ -132,6 +132,9 @@ class NegBinomialCardinality:
 
 def nb_from_mean_dispersion(mean: float, dispersion: float) -> NegBinomialCardinality:
     """Negative binomial with the given mean and variance-to-mean ratio."""
+    for name, value in (("mean", mean), ("dispersion", dispersion)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"clutter {name} must be finite, got {value}")
     if mean <= 0.0:
         raise ConfigurationError("clutter mean must be > 0")
     if dispersion <= 1.0:
@@ -330,8 +333,6 @@ class ClutterCache:
 
 def poisson_nb_kld(mean: float, dispersion: float) -> float:
     """KLD D(Poisson(mean) || NB(mean, dispersion)) over counts."""
-    if mean <= 0.0:
-        raise ConfigurationError("mean must be > 0")
     nb = nb_from_mean_dispersion(mean, dispersion)
     poisson = PoissonCardinality(mean)
     bound = truncation_bound(poisson.log_pmf)

@@ -45,7 +45,7 @@ from .densities import (
     predicted_measurement_loglik,
 )
 from .errors import ConfigurationError, NumericalError, SizeLimitError
-from .gibbs import AssociationProblem, run_gibbs
+from .gibbs import AssociationProblem, ConditionalTable, run_gibbs
 from .hypotheses import (
     BernoulliTree,
     ClutterLocalHypothesis,
@@ -193,7 +193,7 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
     ws = _UpdateWorkspace(d, Z, model, sources, ppp_c, cfg, d.step + 1)
 
     # Gather associations per predicted global hypothesis.
-    assoc = []  # (g_idx, src_cells, tree_cells, own_cells, log_w_unnorm)
+    assoc = []  # (g_idx, src_cells, detected (tree, cell) pairs, own_cells, log_w_unnorm)
     for g_idx, g in enumerate(d.globals_):
         if g.log_w == NEG_INF:
             continue
@@ -207,8 +207,8 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
         if not ws.point and est <= cfg.exhaustive_limit:
             est *= bell(min(ws.m, 20))
         if est <= cfg.exhaustive_limit:
-            for src_cells, tree_cells, own_cells, w in _enumerate_labelings(ws, g, gated):
-                assoc.append((g_idx, src_cells, tree_cells, own_cells, g.log_w + w))
+            for src_cells, detected, own_cells, w in _enumerate_labelings(ws, g, gated):
+                assoc.append((g_idx, src_cells, detected, own_cells, g.log_w + w))
         else:
             if not ws.point:
                 raise SizeLimitError(
@@ -246,7 +246,8 @@ class _UpdateWorkspace:
     ``det_info`` its detection factor per cell, and ``own_weight`` /
     ``own_track`` the weight and posterior of a new track per cell.
     ``src[s]`` is the scan's only evaluator of clutter source s; every
-    reader of c_s(cell) goes through it.
+    reader of c_s(cell) goes through it.  ``table`` holds the Gibbs
+    conditionals every sampled problem of the scan shares.
     """
 
     def __init__(self, d, Z, model, sources, ppp_c, cfg, k):
@@ -266,6 +267,7 @@ class _UpdateWorkspace:
         )
         self._local, self._det, self._own = {}, {}, {}
         self.src = [ClutterCache(c, Z) for c in sources]
+        self.table = ConditionalTable(self.src[0] if self.src else None, self.m, self.n)
         self._ppp_comps = [
             (lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF
         ]
@@ -391,9 +393,10 @@ def _enumerate_labelings(ws, g, gated):
     """Exhaustive association for one predicted global hypothesis with gate
     table ``gated`` (``ws.gated_trees``).
 
-    Yields (src_cells, tree_cells, own_cells, log_factor) with cells as
-    tuples of 0-based measurement indices; log_factor is the absolute
-    this-scan factor (clutter, miss/detection and new-track terms).
+    Yields (src_cells, detected, own_cells, log_factor) with cells as
+    tuples of 0-based measurement indices and ``detected`` the (tree, cell)
+    pairs of the trees that detect; log_factor is the absolute this-scan
+    factor (clutter, miss/detection and new-track terms).
     """
     n, n_src = ws.n, len(ws.sources)
     options = []
@@ -430,7 +433,7 @@ def _enumerate_labelings(ws, g, gated):
             base += ws.src[s](tuple(src_cells[s]))
             if base == NEG_INF:
                 return
-        cells_t = []
+        detected = []
         for i in range(n):
             a = g.berns[i]
             cell = tuple(tree_cells.get(i, ()))
@@ -438,7 +441,7 @@ def _enumerate_labelings(ws, g, gated):
                 base += ws.local(i, a)[0]
             else:
                 base += ws.det_info(i, a, cell)[0]
-            cells_t.append(cell)
+                detected.append((i, cell))
             if base == NEG_INF:
                 return
         for split in own_splits:
@@ -450,7 +453,7 @@ def _enumerate_labelings(ws, g, gated):
             if w > NEG_INF:
                 yield (
                     tuple(tuple(c) for c in src_cells),
-                    tuple(cells_t),
+                    tuple(detected),
                     split,
                     w,
                 )
@@ -472,24 +475,17 @@ def _gibbs_associations(ws, g, g_idx, locs, seed):
     miss_base = 0.0
     for loc in locs:
         miss_base += loc[0]
-    problem = AssociationProblem([loc[3] for loc in locs], ws.own_col, ws.src[0] if n_src else None)
+    problem = AssociationProblem([loc[3] for loc in locs], ws.own_col, ws.table.cache, ws.table)
     w_norm = math.exp(min(g.log_w, 0.0))
     sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, ws.k, g_idx))))
     for gamma, lw, _ in run_gibbs(problem, sweeps, rng):
         src0 = tuple(j for j in range(m) if gamma[j] == 0)
-        tree_cells = [() for _ in range(n)]
-        own_cells = []
-        for j, v in enumerate(gamma):
-            if 1 <= v <= n:
-                tree_cells[v - 1] = (j,)
-            elif v > n:
-                own_cells.append((j,))
         yield (
             g_idx,
             (src0,) if n_src else (),
-            tuple(tree_cells),
-            tuple(own_cells),
+            tuple((v - 1, (j,)) for j, v in enumerate(gamma) if 1 <= v <= n),
+            tuple((j,) for j, v in enumerate(gamma) if v > n),
             g.log_w + miss_base + lw,
         )
 
@@ -498,7 +494,7 @@ def _fallback_association(ws, d, n_src):
     """All measurements to clutter (or to their own tracks when there is no
     clutter tree), attached to the best predicted global hypothesis."""
     g_idx = max(range(len(d.globals_)), key=lambda i: d.globals_[i].log_w)
-    m, n = ws.m, ws.n
+    m = ws.m
     all_j = tuple(range(m))
     if n_src:
         src_cells = (all_j,) + ((),) * (n_src - 1)
@@ -506,7 +502,7 @@ def _fallback_association(ws, d, n_src):
     else:
         src_cells = ()
         own_cells = tuple((j,) for j in range(m))
-    return (g_idx, src_cells, ((),) * n, own_cells, 0.0)
+    return (g_idx, src_cells, (), own_cells, 0.0)
 
 
 def _assemble(ws, assoc):
@@ -563,18 +559,28 @@ def _assemble(ws, assoc):
         src_child[key] = idx
         return idx
 
+    # The associations of one predicted global hypothesis are adjacent.  At
+    # its first, every tree none of them detects takes its miss child, once;
+    # each association then patches only the trees some of them detect.
     globals_ = []
-    for g_idx, src_cells, tree_cells, own_cells, log_w in assoc:
+    for g_idx, items in itertools.groupby(assoc, key=lambda item: item[0]):
+        items = list(items)
         g = d.globals_[g_idx]
-        clutter_sel = tuple(
-            src_hyp_index(s, g.clutter[s], src_cells[s]) for s in range(n_src)
-        )
-        bern_sel = [0] * len(upd_trees)
-        for i in range(n):
-            bern_sel[i] = tree_hyp_index(i, g.berns[i], tree_cells[i])
-        for cell in own_cells:
-            bern_sel[own_index[cell]] = 1
-        globals_.append(GlobalHypothesis(log_w, clutter_sel, tuple(bern_sel)))
+        patched = {i for item in items for i, _ in item[2]}
+        base = [0] * len(upd_trees)
+        for i in set(range(n)) - patched:
+            base[i] = tree_hyp_index(i, g.berns[i], ())
+        for _, src_cells, detected, own_cells, log_w in items:
+            clutter_sel = tuple(
+                src_hyp_index(s, g.clutter[s], src_cells[s]) for s in range(n_src)
+            )
+            bern_sel = list(base)
+            cells = dict(detected)
+            for i in patched:
+                bern_sel[i] = tree_hyp_index(i, g.berns[i], cells.get(i, ()))
+            for cell in own_cells:
+                bern_sel[own_index[cell]] = 1
+            globals_.append(GlobalHypothesis(log_w, clutter_sel, tuple(bern_sel)))
 
     # Every association has a finite weight (the fallback carries 0).
     logs = np.array([g.log_w for g in globals_])

@@ -21,7 +21,9 @@ sampler runs it as any count table.
 One kernel, ``_candidates``, lists the values a coordinate may take with
 their log weights.  The sampler draws every coordinate from it, and
 ``gibbs_conditional``, which the oracle checks, normalizes its output, so
-the checked conditional is the one that runs.
+the checked conditional is the one that runs.  The sampler keeps what it
+builds in a per-scan ``ConditionalTable`` and skips the draws that would
+keep its state.
 
 The sampler, the enumeration and the final weights read the clutter set
 density through one ``ClutterCache``, keyed by the sorted tuple of
@@ -38,8 +40,9 @@ reads only that table.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import accumulate, product
 
 import numpy as np
@@ -50,6 +53,20 @@ from .errors import ConfigurationError, NumericalError, SizeLimitError
 
 NEG_INF = float("-inf")
 _ENUM_GUARD = 1_000_000
+
+
+@dataclass
+class ConditionalTable:
+    """The Gibbs conditionals of one scan (one clutter cache, m and n).
+    ``rows`` interns a problem row ``(j, candidates)`` as (signature, mask
+    of its tree bits); ``memo`` maps (signature, clutter count, masked
+    state) to (values, last repeated; cumulative weights; total)."""
+
+    cache: ClutterCache | None
+    m: int
+    n: int
+    rows: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -66,18 +83,24 @@ class AssociationProblem:
     there is no clutter column (the merged regime): the problem then holds
     the count table of the empty clutter process, ``table[0] = 0`` and
     ``-inf`` beyond.  ``_fast`` is the count table, or None when the
-    clutter density is opaque.
+    clutter density is opaque.  ``table`` holds the sampler's conditionals:
+    the update's per-scan table, or a fresh one.  A table made for another
+    cache, scan size or tree count is refused.
     """
 
     eta: list
     own: list
     cache: ClutterCache | None = None
+    table: ConditionalTable | None = None
 
     def __post_init__(self):
         n, m = len(self.eta), len(self.own)
         self.n, self.m = n, m
         if self.cache is not None and self.cache.Z.shape[0] != m:
             raise ConfigurationError("clutter cache belongs to a scan of another size")
+        self.table = self.table or ConditionalTable(self.cache, m, n)
+        if self.table.cache is not self.cache or (self.table.m, self.table.n) != (m, n):
+            raise ConfigurationError("conditional table belongs to another scan")
         if self.cache is None:
             self._fast = [0.0] + [NEG_INF] * m, [True] * m
         else:
@@ -202,14 +225,17 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     """Systematic-scan Gibbs sampling of association vectors.
 
     Starts from ``_start(p)`` (no association when that is None), sweeps
-    coordinates q = 1..m for ``sweeps`` rounds and records the state after
-    every sweep.  Each coordinate is drawn by inverse CDF from the output of
-    ``_candidates``, built once per call for each key of what it depends on:
-    q, which of row q's tree candidates the other coordinates take, and
-    their clutter count (count table) or clutter set (opaque density).
-    Returns ``(gamma, log_w, visits)`` for each unique recorded vector in
-    first-visit order: its unnormalized log weight and how many sweeps
-    ended on it.
+    coordinates q = 1..m for ``sweeps`` rounds over one block of uniforms
+    (position r·m + q) and records the state after every sweep.  A draw is
+    ``bisect_right(cum, u * total)`` on the output of ``_candidates``, kept
+    in ``p.table`` under what it depends on: row q's candidates, which of
+    its trees the others take, and their clutter count or clutter set.
+    Once every coordinate has drawn its value since the state last changed,
+    the positions whose draw leaves the state are listed once, and the
+    chain jumps between them, crediting the sweeps that end in between, so
+    the output is that of every draw at a cost per leave.  Returns
+    ``(gamma, log_w, visits)`` per unique recorded vector, in first-visit
+    order: its unnormalized log weight and how many sweeps ended on it.
     """
     if sweeps < 1:
         raise ConfigurationError("sweeps must be >= 1")
@@ -217,37 +243,75 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     gamma = _start(p)
     if gamma is None:
         return []
+    if m == 0:
+        return [((), assoc_log_weight(p, ()), sweeps)]
+    block = rng.random((sweeps, m))
+    us, end = block.ravel().tolist(), sweeps * m
     # One bit per clutter coordinate (bit j) and per taken tree (bit m + v).
     allc = (1 << m) - 1
     state = sum(1 << (m + v if v else j) for j, v in enumerate(gamma) if v <= n)
     general = allc if p._fast is None else 0
-    keymask = [general | sum(1 << (m + v) for v, _ in c if v <= n) for c in p._row_cands]
-    memo = {}
-    recorded: dict[tuple, int] = {}
-    for urow in rng.random((sweeps, m)).tolist():
-        for q, u in enumerate(urow):
-            old = gamma[q]
-            if old <= n:
-                state ^= 1 << (m + old if old else q)
-            key = (q, (state & allc).bit_count(), state & keymask[q])
-            entry = memo.get(key)
-            if entry is None:
-                taken = {v for v, _ in p._row_cands[q] if state >> (m + v) & 1}
-                vals, lws = _candidates(p, gamma, q, taken, key[1])
-                if not vals:
-                    raise NumericalError(f"Gibbs conditional has no support at coordinate {q}")
-                top = max(lws)
-                weights = [math.exp(w - top) for w in lws]
-                # u * total past the last cumulative weight draws the last value.
-                cum = list(accumulate(weights))
-                entry = memo[key] = (vals + vals[-1:], cum, math.fsum(weights))
-            vals, cum, total = entry
-            new = gamma[q] = vals[bisect_right(cum, u * total)]
-            if new <= n:
-                state ^= 1 << (m + new if new else q)
-        key = tuple(gamma)
-        recorded[key] = recorded.get(key, 0) + 1
+    rows, memo = p.table.rows, p.table.memo
+    sigs = []
+    for row in enumerate(map(tuple, p._row_cands)):
+        if row not in rows:
+            rows[row] = len(rows), general | sum(1 << (m + v) for v, _ in row[1] if v <= n)
+        sigs.append(rows[row])
+    drawn = [None] * m  # per coordinate: the conditional of its last draw
+    kept = 0  # draws since the state last changed, that one included
+    leaves = {}  # certified state -> ascending positions of the draws that leave it
+    recorded = Counter()
+    pos = 0
+    while pos < end:
+        q = pos % m
+        old = gamma[q]
+        if old <= n:
+            state ^= 1 << (m + old if old else q)
+        sig, mask = sigs[q]
+        key = (sig, (state & allc).bit_count(), state & mask)
+        entry = memo.get(key)
+        if entry is None:
+            taken = {v for v, _ in p._row_cands[q] if state >> (m + v) & 1}
+            vals, lws = _candidates(p, gamma, q, taken, key[1])
+            if not vals:
+                raise NumericalError(f"Gibbs conditional has no support at coordinate {q}")
+            top = max(lws)
+            weights = [math.exp(w - top) for w in lws]
+            # u * total past the last cumulative weight draws the last value.
+            cum = list(accumulate(weights))
+            entry = memo[key] = (vals + vals[-1:], cum, math.fsum(weights))
+        vals, cum, total = drawn[q] = entry
+        new = gamma[q] = vals[bisect_right(cum, us[pos] * total)]
+        if new <= n:
+            state ^= 1 << (m + new if new else q)
+        pos += 1
+        kept = kept + 1 if new == old else 1
+        if q == m - 1:
+            recorded[tuple(gamma)] += 1
+        jump = leaves.get(tuple(gamma)) if new != old and leaves else None
+        if jump is None and kept >= m and end - pos >= m:
+            jump = leaves[tuple(gamma)] = _leave_positions(block, pos // m, drawn, gamma)
+        if jump is not None:
+            nxt = jump[bisect_left(jump, pos)]
+            if nxt // m > pos // m:
+                recorded[tuple(gamma)] += nxt // m - pos // m
+            pos = nxt
     return [(g, assoc_log_weight(p, g), visits) for g, visits in recorded.items()]
+
+
+def _leave_positions(block, r0: int, drawn, gamma) -> list:
+    """Positions r·m + q from row ``r0`` on whose draw leaves ``gamma[q]``,
+    then the block's size.  ``drawn[q]``, coordinate q's conditional given
+    the others, keeps value k for u·total in [cum[k−1], cum[k]), and the
+    last value for u·total ≥ cum[L−2], which the appended slot returns too."""
+    lo, hi, totals = [], [], []
+    for (vals, cum, total), v in zip(drawn, gamma):
+        k = vals.index(v)
+        lo.append(cum[k - 1] if k else NEG_INF)
+        hi.append(cum[k] if k < len(cum) - 1 else math.inf)
+        totals.append(total)
+    x = block[r0:] * totals
+    return (np.flatnonzero((x < lo) | (x >= hi)) + r0 * len(gamma)).tolist() + [block.size]
 
 
 def enumerate_associations(p: AssociationProblem):

@@ -118,6 +118,8 @@ class ScenarioConfig:
             raise ConfigurationError("region must be nonempty")
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         for name in ("dt", "accel_noise", "meas_noise"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be > 0")

@@ -439,10 +439,17 @@ def _random_scan(rng, d, m, region):
 # Check suites (used by tests and the CLI)
 
 
+def _seeded(seed):
+    """The generator of a check suite; a negative seed is refused."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def check_update(seed=0, trials=200):
     """Engine posterior vs brute-force joint enumeration on random small
     instances across clutter families and both measurement models."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=10**9, gate=1e12)
     fails = []
@@ -473,7 +480,7 @@ def check_update(seed=0, trials=200):
 def check_composite(seed=0, trials=60):
     """Composite update vs single-tree update with the composite set density
     (marginal agreement), plus the exact single-source reduction."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     cfg2 = FilterConfig(clutter_regime="composite", exhaustive_limit=10**9, gate=1e12)
     cfg1 = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=10**9, gate=1e12)
@@ -522,7 +529,7 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     frequencies vs exhaustive enumeration (total variation) on each sampler
     kind of problem: count table (NB), general (opaque Poisson density) and
     merged (no clutter column, sampled as the empty clutter process)."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     fails = []
 

@@ -74,6 +74,29 @@ def test_negative_estimator_threshold_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: estimator_threshold must be a probability\n"
 
 
+@pytest.mark.parametrize("mean, dispersion, name", [("nan", "2", "mean"), ("10", "inf", "dispersion")])
+def test_non_finite_kld_input_exits_one(capsys, mean, dispersion, name):
+    assert main(["kld", "--mean", mean, "--dispersion", dispersion]) == 1
+    assert capsys.readouterr().err.startswith(f"error: clutter {name} must be finite")
+
+
+def test_negative_seed_exits_one(tmp_path, capsys):
+    rc = main(["simulate", "--seed", "-1", "--runs", "1", "--filters", "pmb", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    cfg = tmp_path / "negative-seed.yaml"
+    cfg.write_text("seed: -1\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--filters", "pmb"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("check", ["update", "gibbs", "composite"])
+def test_negative_oracle_seed_exits_one(capsys, check):
+    assert main(["oracle", "--check", check, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_bad_subcommand_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -206,3 +206,13 @@ class TestKld:
 
     def test_near_poisson_limit(self):
         assert poisson_nb_kld(1.0, 1.001) < 1e-3
+
+    @pytest.mark.parametrize(
+        "mean, dispersion, name",
+        [(math.nan, 2.0, "mean"), (math.inf, 2.0, "mean"), (10.0, math.inf, "dispersion"), (10.0, math.nan, "dispersion")],
+    )
+    def test_non_finite_input_named(self, mean, dispersion, name):
+        # nan used to reach the pmf-mass check and inf a negative r.
+        for f in (poisson_nb_kld, nb_from_mean_dispersion):
+            with pytest.raises(ConfigurationError, match=f"clutter {name} must be finite"):
+                f(mean, dispersion)

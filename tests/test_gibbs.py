@@ -1,8 +1,11 @@
 """Association-vector weights, exact conditionals, enumeration, and the
 systematic-scan Gibbs sampler."""
 
+import copy
 import itertools
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,9 +14,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from pmbm import gibbs
+from pmbm import filtering, gibbs
 from pmbm.clutter import (
     ClutterCache,
+    ClutterSource,
+    CompositeClutter,
     IidClusterClutter,
     NegBinomialCardinality,
     PoissonCardinality,
@@ -22,8 +27,17 @@ from pmbm.clutter import (
     nb_from_mean_dispersion,
 )
 from pmbm.errors import ConfigurationError, NumericalError, SizeLimitError
+from pmbm.densities import (
+    GaussianDensity,
+    GaussianMixture,
+    LinearGaussianMotion,
+    LinearGaussianSensor,
+)
+from pmbm.filtering import FilterConfig, initial_density, predict, reduce, update
 from pmbm.gibbs import (
     AssociationProblem,
+    ConditionalTable,
+    _candidates,
     _start,
     assoc_log_weight,
     enumerate_associations,
@@ -31,6 +45,7 @@ from pmbm.gibbs import (
     run_gibbs,
 )
 from pmbm.hypotheses import count_hypotheses
+from pmbm.measmodel import PointTargetModel
 
 NEG_INF = float("-inf")
 REGION10 = Region((0.0, 0.0), (10.0, 10.0))
@@ -457,6 +472,191 @@ class TestSamplerProperties:
         assert [g for g, _, _ in got] == _replay(p, sweeps, seed)
         assert all(lw > NEG_INF for _, lw, _ in got)
         assert sum(c for _, _, c in got) == (sweeps if got else 0)
+
+
+def _reference_run_gibbs(p, sweeps, rng):
+    """The sampler as it ran before leave-to-leave jumps and shared tables:
+    every coordinate of every sweep drawn in turn, with a memo of its own."""
+    if sweeps < 1:
+        raise ConfigurationError("sweeps must be >= 1")
+    m, n = p.m, p.n
+    gamma = _start(p)
+    if gamma is None:
+        return []
+    # One bit per clutter coordinate (bit j) and per taken tree (bit m + v).
+    allc = (1 << m) - 1
+    state = sum(1 << (m + v if v else j) for j, v in enumerate(gamma) if v <= n)
+    general = allc if p._fast is None else 0
+    keymask = [general | sum(1 << (m + v) for v, _ in c if v <= n) for c in p._row_cands]
+    memo = {}
+    recorded: dict[tuple, int] = {}
+    for urow in rng.random((sweeps, m)).tolist():
+        for q, u in enumerate(urow):
+            old = gamma[q]
+            if old <= n:
+                state ^= 1 << (m + old if old else q)
+            key = (q, (state & allc).bit_count(), state & keymask[q])
+            entry = memo.get(key)
+            if entry is None:
+                taken = {v for v, _ in p._row_cands[q] if state >> (m + v) & 1}
+                vals, lws = _candidates(p, gamma, q, taken, key[1])
+                if not vals:
+                    raise NumericalError(f"Gibbs conditional has no support at coordinate {q}")
+                top = max(lws)
+                weights = [math.exp(w - top) for w in lws]
+                # u * total past the last cumulative weight draws the last value.
+                cum = list(accumulate(weights))
+                entry = memo[key] = (vals + vals[-1:], cum, math.fsum(weights))
+            vals, cum, total = entry
+            new = gamma[q] = vals[bisect_right(cum, u * total)]
+            if new <= n:
+                state ^= 1 << (m + new if new else q)
+        key = tuple(gamma)
+        recorded[key] = recorded.get(key, 0) + 1
+    return [(g, assoc_log_weight(p, g), visits) for g, visits in recorded.items()]
+
+
+class _Uniforms:
+    """A generator stand-in whose one block of uniforms is given."""
+
+    def __init__(self, block):
+        self.block = np.asarray(block, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.block.shape
+        return self.block.copy()
+
+
+def _counting_draws(monkeypatch):
+    draws, inner = [], gibbs.bisect_right
+
+    def counting(*args):
+        draws.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(gibbs, "bisect_right", counting)
+    return draws
+
+
+class TestLeaveJumps:
+    @given(p=problems(), sweeps=st.integers(1, 300), seed=st.integers(0, 1000))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_draw_reference(self, p, sweeps, seed):
+        try:
+            want = _reference_run_gibbs(p, sweeps, np.random.default_rng(seed))
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                run_gibbs(p, sweeps, np.random.default_rng(seed))
+            return
+        assert run_gibbs(p, sweeps, np.random.default_rng(seed)) == want
+
+    def test_chain_that_flips_every_few_sweeps(self, monkeypatch):
+        # Each row keeps its value with probability 0.86 or more, so the
+        # state changes every few sweeps (about 30 times in 300) and the
+        # sampler jumps between the draws that leave it.
+        region = Region((0.0,), (10.0,))
+        clutter = IidClusterClutter(PoissonCardinality(3.0), region)
+        table = [[2.5, NEG_INF], [NEG_INF, 2.5], [NEG_INF, NEG_INF]]
+        p = make_problem(table, [-4.0, -4.0, -3.0], clutter, [[1.0], [4.0], [7.0]])
+        draws = _counting_draws(monkeypatch)
+        listed, inner = [], gibbs._leave_positions
+        monkeypatch.setattr(gibbs, "_leave_positions", lambda *a: listed.append(1) or inner(*a))
+        got = run_gibbs(p, 300, np.random.default_rng(3))
+        assert 50 < len(draws) < 300 * 3 // 4
+        monkeypatch.undo()
+        assert len(got) >= 4
+        # A state's leaves are listed once, however often the chain returns.
+        assert 1 < len(listed) <= len(got) < sum(c for _, _, c in got) // 10
+        assert got == _reference_run_gibbs(p, 300, np.random.default_rng(3))
+
+    def test_last_value_drawn_through_the_duplicate_slot(self, monkeypatch):
+        # Row 0's conditional weighs 1, 1e-16 and 1e-16: the cumulative
+        # weights stay at 1.0 while their exact sum is 1 + 2**-52, so the
+        # largest uniform draws past the last cumulative weight, into the
+        # appended slot, and takes the own track (value 3).
+        p = AssociationProblem([[(0, 0.0)], [(0, math.log(1e-16))]], [math.log(1e-16)])
+        weights = [1.0, math.exp(math.log(1e-16)), math.exp(math.log(1e-16))]
+        top_u = np.nextafter(1.0, 0.0)
+        assert list(accumulate(weights)) == [1.0] * 3 and top_u * math.fsum(weights) >= 1.0
+        block = np.full((12, 1), 0.25)
+        block[[3, 4, 8], 0] = top_u
+        draws = _counting_draws(monkeypatch)
+        got = run_gibbs(p, 12, _Uniforms(block))
+        # The first draw, then only the draws that leave: once the own track
+        # is known to keep every u * total >= 1.0, the top uniform at 4 is
+        # skipped.
+        assert len(draws) == 5
+        monkeypatch.undo()
+        assert got == _reference_run_gibbs(p, 12, _Uniforms(block))
+        assert [(g, c) for g, _, c in got] == [((1,), 9), ((3,), 3)]
+
+
+def _captured_updates(regime, monkeypatch):
+    """The sampled problems of every update of a short scenario, per
+    update: (problem, sweeps, a copy of its generator, what it returned)."""
+    region = Region((0.0, 0.0), (300.0, 300.0))
+    H = np.kron(np.eye(2), np.array([[1.0, 0.0]]))
+    sensor = LinearGaussianSensor(H, 4.0 * np.eye(2), 0.9)
+    F1 = np.array([[1.0, 1.0], [0.0, 1.0]])
+    Q1 = 0.01 * np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
+    motion = LinearGaussianMotion(np.kron(np.eye(2), F1), np.kron(np.eye(2), Q1), 0.99)
+    if regime == "composite":
+        src = ClutterSource((100.0, 200.0), 0.9, 3.0, 25.0 * np.eye(2))
+        clutter = CompositeClutter(PoissonClutter(2.0, region), (src,))
+    elif regime == "ppp-merged":
+        clutter = PoissonClutter(4.0, region)
+    else:
+        clutter = IidClusterClutter(nb_from_mean_dispersion(4.0, 8.0), region)
+    birth = GaussianMixture(
+        [math.log(3.0)],
+        [GaussianDensity(np.array([150.0, 0.0, 150.0, 0.0]), np.diag([2500.0, 1.0, 2500.0, 1.0]))],
+    )
+    cfg = FilterConfig(clutter_regime=regime, max_global_hyps=20, exhaustive_limit=4)
+    calls, inner = [], filtering.run_gibbs
+
+    def capturing(p, sweeps, rng):
+        saved = copy.deepcopy(rng)
+        out = inner(p, sweeps, rng)
+        calls[-1].append((p, sweeps, saved, out))
+        return out
+
+    monkeypatch.setattr(filtering, "run_gibbs", capturing)
+    rng = np.random.default_rng(4)
+    targets = np.array([[60.0, 1.0, 80.0, 0.0], [200.0, -1.0, 150.0, 1.0], [120.0, 0.0, 240.0, -1.0]])
+    d = initial_density()
+    for _ in range(4):
+        targets = targets @ motion.F.T
+        scan = np.concatenate([targets @ H.T + 2.0 * rng.standard_normal((3, 2)), clutter.sample(rng)])
+        calls.append([])
+        d = reduce(update(predict(d, motion, birth), scan, PointTargetModel(sensor), clutter, cfg), cfg)
+    monkeypatch.undo()
+    return calls
+
+
+class TestSharedTable:
+    @pytest.mark.parametrize("regime", ["arbitrary", "ppp-merged", "composite"])
+    def test_problems_of_one_update_share_a_table(self, regime, monkeypatch):
+        updates = _captured_updates(regime, monkeypatch)
+        assert max(len(calls) for calls in updates) > 1
+        for calls in updates:
+            assert len({id(p.table) for p, _, _, _ in calls}) <= 1
+            for p, sweeps, rng, out in calls:
+                fresh = AssociationProblem(p.eta, p.own, p.cache)
+                assert fresh.table is not p.table
+                assert run_gibbs(fresh, sweeps, copy.deepcopy(rng)) == out
+                assert _reference_run_gibbs(p, sweeps, copy.deepcopy(rng)) == out
+
+    def test_table_of_another_scan_refused(self):
+        p = small_problem(n=2, m=3, seed=1)
+        shared = AssociationProblem(p.eta, p.own, p.cache, p.table)
+        assert shared.table is p.table
+        other = small_problem(n=2, m=3, seed=2)
+        with pytest.raises(ConfigurationError, match="another scan"):
+            AssociationProblem(p.eta, p.own, p.cache, other.table)
+        with pytest.raises(ConfigurationError, match="another scan"):
+            AssociationProblem(p.eta[:1], p.own, p.cache, p.table)
+        with pytest.raises(ConfigurationError, match="another scan"):
+            AssociationProblem(p.eta, p.own, None, ConditionalTable(None, 2, 2))
 
 
 def _brute_force(p):

@@ -88,6 +88,8 @@ class TestScenarioConfig:
             {"estimator_threshold": 1.5},
             {"birth_weight_first": -1.0},
             {"birth_weight": -0.1},
+            # numpy refused it only inside experiment(), with a traceback.
+            {"seed": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
