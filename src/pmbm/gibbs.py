@@ -21,9 +21,7 @@ sampler runs it as any count table.
 One kernel, ``_candidates``, lists the values a coordinate may take with
 their log weights.  The sampler draws every coordinate from it, and
 ``gibbs_conditional``, which the oracle checks, normalizes its output, so
-the checked conditional is the one that runs.  The sampler keeps what it
-builds in a per-scan ``ConditionalTable`` and skips the draws that would
-keep its state.
+the checked conditional is the one that runs, built once per scan and key.
 
 The sampler, the enumeration and the final weights read the clutter set
 density through one ``ClutterCache``, keyed by the sorted tuple of
@@ -53,14 +51,14 @@ from .errors import ConfigurationError, NumericalError, SizeLimitError
 
 NEG_INF = float("-inf")
 _ENUM_GUARD = 1_000_000
+_WINDOW = 128  # rows of uniforms whose leaves are listed at a time, bounding memory
 
 
 @dataclass
 class ConditionalTable:
-    """The Gibbs conditionals of one scan (one clutter cache, m and n).
-    ``rows`` interns a problem row ``(j, candidates)`` as (signature, mask
-    of its tree bits); ``memo`` maps (signature, clutter count, masked
-    state) to (values, last repeated; cumulative weights; total)."""
+    """The Gibbs conditionals of one scan (one clutter cache, m and n):
+    ``rows`` interns a row ``(j, candidates)`` as (signature, tree-bit mask),
+    ``memo`` maps (signature, clutter count, masked state) to a conditional."""
 
     cache: ClutterCache | None
     m: int
@@ -83,9 +81,8 @@ class AssociationProblem:
     there is no clutter column (the merged regime): the problem then holds
     the count table of the empty clutter process, ``table[0] = 0`` and
     ``-inf`` beyond.  ``_fast`` is the count table, or None when the
-    clutter density is opaque.  ``table`` holds the sampler's conditionals:
-    the update's per-scan table, or a fresh one.  A table made for another
-    cache, scan size or tree count is refused.
+    clutter density is opaque.  ``table`` holds the sampler's conditionals
+    (the update's per-scan table, or a fresh one); one of another scan is refused.
     """
 
     eta: list
@@ -231,11 +228,11 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     in ``p.table`` under what it depends on: row q's candidates, which of
     its trees the others take, and their clutter count or clutter set.
     Once every coordinate has drawn its value since the state last changed,
-    the positions whose draw leaves the state are listed once, and the
-    chain jumps between them, crediting the sweeps that end in between, so
-    the output is that of every draw at a cost per leave.  Returns
-    ``(gamma, log_w, visits)`` per unique recorded vector, in first-visit
-    order: its unnormalized log weight and how many sweeps ended on it.
+    the chain jumps between the draws that leave the state, listed once per
+    window of rows, and credits the sweeps that end in between: the output
+    of every draw at a cost per leave.  Returns ``(gamma, log_w, visits)``
+    per unique recorded vector in first-visit order: its unnormalized log
+    weight and how many sweeps ended on it.
     """
     if sweeps < 1:
         raise ConfigurationError("sweeps must be >= 1")
@@ -259,9 +256,8 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
         sigs.append(rows[row])
     drawn = [None] * m  # per coordinate: the conditional of its last draw
     kept = 0  # draws since the state last changed, that one included
-    leaves = {}  # certified state -> ascending positions of the draws that leave it
-    recorded = Counter()
-    pos = 0
+    leaves = {}  # certified state -> [its conditionals, its leaves in a window of rows]
+    recorded, pos = Counter(), 0
     while pos < end:
         q = pos % m
         old = gamma[q]
@@ -290,9 +286,12 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
             recorded[tuple(gamma)] += 1
         jump = leaves.get(tuple(gamma)) if new != old and leaves else None
         if jump is None and kept >= m and end - pos >= m:
-            jump = leaves[tuple(gamma)] = _leave_positions(block, pos // m, drawn, gamma)
+            jump = leaves[tuple(gamma)] = [tuple(drawn), [-1]]
         if jump is not None:
-            nxt = jump[bisect_left(jump, pos)]
+            found = jump[1]
+            while pos > found[-1] or found[bisect_left(found, pos)] == found[-1] < end:
+                found = jump[1] = _leave_positions(block, max(pos, found[-1]) // m, jump[0], gamma)
+            nxt = found[bisect_left(found, pos)]
             if nxt // m > pos // m:
                 recorded[tuple(gamma)] += nxt // m - pos // m
             pos = nxt
@@ -300,18 +299,19 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
 
 
 def _leave_positions(block, r0: int, drawn, gamma) -> list:
-    """Positions r·m + q from row ``r0`` on whose draw leaves ``gamma[q]``,
-    then the block's size.  ``drawn[q]``, coordinate q's conditional given
-    the others, keeps value k for u·total in [cum[k−1], cum[k]), and the
-    last value for u·total ≥ cum[L−2], which the appended slot returns too."""
+    """Positions r·m + q in rows r0 to r0 + ``_WINDOW`` whose draw leaves
+    ``gamma[q]``, then the window's end.  ``drawn[q]``, coordinate q's
+    conditional, keeps value k for u·total in [cum[k−1], cum[k]), the last
+    value for u·total ≥ cum[L−2], which the appended slot returns too."""
     lo, hi, totals = [], [], []
     for (vals, cum, total), v in zip(drawn, gamma):
         k = vals.index(v)
         lo.append(cum[k - 1] if k else NEG_INF)
         hi.append(cum[k] if k < len(cum) - 1 else math.inf)
         totals.append(total)
-    x = block[r0:] * totals
-    return (np.flatnonzero((x < lo) | (x >= hi)) + r0 * len(gamma)).tolist() + [block.size]
+    x = block[r0 : r0 + _WINDOW] * totals
+    found = np.flatnonzero((x < lo) | (x >= hi)) + r0 * len(gamma)
+    return found.tolist() + [min(r0 + _WINDOW, len(block)) * len(gamma)]
 
 
 def enumerate_associations(p: AssociationProblem):

@@ -560,13 +560,16 @@ class TestLeaveJumps:
         p = make_problem(table, [-4.0, -4.0, -3.0], clutter, [[1.0], [4.0], [7.0]])
         draws = _counting_draws(monkeypatch)
         listed, inner = [], gibbs._leave_positions
-        monkeypatch.setattr(gibbs, "_leave_positions", lambda *a: listed.append(1) or inner(*a))
+        monkeypatch.setattr(gibbs, "_leave_positions", lambda *a: listed.append(inner(*a)) or listed[-1])
         got = run_gibbs(p, 300, np.random.default_rng(3))
         assert 50 < len(draws) < 300 * 3 // 4
         monkeypatch.undo()
         assert len(got) >= 4
-        # A state's leaves are listed once, however often the chain returns.
-        assert 1 < len(listed) <= len(got) < sum(c for _, _, c in got) // 10
+        # Leaves are listed a window of rows at a time, once per state and
+        # window however often the chain returns, so memory stays bounded.
+        windows = math.ceil(300 / gibbs._WINDOW)
+        assert 1 < len(listed) <= len(got) * windows < sum(c for _, _, c in got) // 2
+        assert windows > 1 and max(len(found) for found in listed) <= gibbs._WINDOW * 3 + 1
         assert got == _reference_run_gibbs(p, 300, np.random.default_rng(3))
 
     def test_last_value_drawn_through_the_duplicate_slot(self, monkeypatch):
