@@ -14,13 +14,16 @@ regimes:
 * ``ppp-merged``: plain PPP clutter folded into new-track weights, which
   is the standard recursion this library generalizes.  No clutter trees.
 
-Association work per predicted global hypothesis is delegated either to
-exhaustive enumeration (small problems, or whenever the model demands it)
-or to the Gibbs sampler.  Each predicted local hypothesis (i, a) has one
-per-scan record, ``_UpdateWorkspace.local(i, a)``: its miss factor and
-existence, the measurements it gates and, for the point model, its
-(measurement, eta) pairs, which the sampler reads as they are.  The gate
-table that sizing and enumeration options read, the sampler's input and
+Under the point model with at most one clutter column, each predicted
+global hypothesis is one ``AssociationProblem``, enumerated when its gate
+table's size fits ``exhaustive_limit`` and Gibbs-sampled above it.  The
+problem holds ratios to miss weights, so what it cannot express (the
+general model, several clutter sources, a point hypothesis that cannot
+miss) is enumerated as labelings, and refused above the limit.  Each
+predicted local hypothesis (i, a) has one per-scan record,
+``_UpdateWorkspace.local(i, a)``: its miss factor and existence, the
+measurements it gates and, for the point model, its (measurement, eta)
+pairs, which the problem reads as they are.  Gate tables, problems and
 hypothesis assembly all come from it.  A new track's weight is shared per
 scan; its posterior is built only for the cells some association uses.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -45,7 +49,7 @@ from .densities import (
     predicted_measurement_loglik,
 )
 from .errors import ConfigurationError, NumericalError, SizeLimitError
-from .gibbs import AssociationProblem, ConditionalTable, run_gibbs
+from .gibbs import AssociationProblem, ConditionalTable, candidate_product, run_gibbs
 from .hypotheses import (
     BernoulliTree,
     ClutterLocalHypothesis,
@@ -73,13 +77,14 @@ class FilterConfig:
     exhaustive_limit: int = 32
 
     def __post_init__(self):
-        if self.max_global_hyps < 1:
-            raise ConfigurationError("max_global_hyps must be >= 1")
-        if self.exhaustive_limit < 1:
-            raise ConfigurationError("exhaustive_limit must be >= 1")
-        for name in ("mbm_prune", "ppp_prune", "bern_prune", "gate"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"{name} must be > 0")
+        for name in ("max_global_hyps", "exhaustive_limit"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1")
+        bounds = (("mbm_prune", 1.0), ("ppp_prune", math.inf), ("bern_prune", 1.0), ("gate", math.inf))
+        for name, top in bounds:
+            if not 0.0 < getattr(self, name) <= top:
+                raise ConfigurationError(f"{name} must be in (0, {top}]")
         if self.mode not in ("pmbm", "pmb", "mbm"):
             raise ConfigurationError(f"unknown mode: {self.mode}")
         if self.clutter_regime not in ("arbitrary", "composite", "ppp-merged"):
@@ -206,20 +211,23 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
                 break
         if not ws.point and est <= cfg.exhaustive_limit:
             est *= bell(min(ws.m, 20))
-        if est <= cfg.exhaustive_limit:
+        fits = est <= cfg.exhaustive_limit
+        if ws.point and n_src <= 1 and all(loc[0] > NEG_INF for loc in locs):
+            assoc.extend(_point_associations(ws, g, g_idx, locs, seed, sample=not fits))
+        elif fits:
             for src_cells, detected, own_cells, w in _enumerate_labelings(ws, g, gated):
                 assoc.append((g_idx, src_cells, detected, own_cells, g.log_w + w))
+        elif not ws.point:
+            raise SizeLimitError(
+                "general-model updates support exhaustive association only; "
+                "raise exhaustive_limit or reduce the scan"
+            )
+        elif n_src > 1:
+            raise SizeLimitError("multi-source association spaces must fit the exhaustive limit")
         else:
-            if not ws.point:
-                raise SizeLimitError(
-                    "general-model updates support exhaustive association only; "
-                    "raise exhaustive_limit or reduce the scan"
-                )
-            if n_src > 1:
-                raise SizeLimitError(
-                    "multi-source association spaces must fit the exhaustive limit"
-                )
-            assoc.extend(_gibbs_associations(ws, g, g_idx, locs, seed))
+            raise NumericalError(
+                "a predicted hypothesis cannot miss; sampled association requires positive miss weights"
+            )
     if not assoc:
         assoc = [_fallback_association(ws, d, n_src)]
         warnings.warn("no association had positive weight; forced all-clutter fallback")
@@ -227,16 +235,17 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
     return _assemble(ws, assoc)
 
 
-def _subset_partitions(items: tuple):
-    """All partitions of ``items`` into non-empty cells."""
+def _subset_partitions(items: tuple, cap=None):
+    """All partitions of ``items`` into non-empty cells of at most ``cap`` (None: any) items."""
     if not items:
         yield ()
         return
     first, rest = items[0], items[1:]
-    for part in _subset_partitions(rest):
+    for part in _subset_partitions(rest, cap):
         yield part + ((first,),)
         for i, cell in enumerate(part):
-            yield part[:i] + (cell + (first,),) + part[i + 1 :]
+            if cap is None or len(cell) < cap:
+                yield part[:i] + (cell + (first,),) + part[i + 1 :]
 
 
 class _UpdateWorkspace:
@@ -391,22 +400,22 @@ class _UpdateWorkspace:
 
 def _enumerate_labelings(ws, g, gated):
     """Exhaustive association for one predicted global hypothesis with gate
-    table ``gated`` (``ws.gated_trees``).
+    table ``gated`` (``ws.gated_trees``), for what an association problem
+    cannot express: the general model, several clutter sources, and a point
+    hypothesis that cannot miss.
 
     Yields (src_cells, detected, own_cells, log_factor) with cells as
     tuples of 0-based measurement indices and ``detected`` the (tree, cell)
     pairs of the trees that detect; log_factor is the absolute this-scan
     factor (clutter, miss/detection and new-track terms).
     """
-    n, n_src = ws.n, len(ws.sources)
-    options = []
-    for j, trees in enumerate(gated):
-        # The gate only shortlists: ``assemble`` evaluates the factor of each
-        # full cell and drops labelings whose weight is zero.
-        opts = [("c", s) for s in range(n_src)] + [("t", i) for i in trees]
-        if not ws.point or ws.own_weight((j,)) > NEG_INF:
-            opts.append(("own",))
-        options.append(opts)
+    n, n_src, cap = ws.n, len(ws.sources), ws.model.max_subset
+    # The gate only shortlists: ``assemble`` evaluates the factor of each full
+    # cell and drops labelings whose weight is zero.
+    options = [
+        [("c", s) for s in range(n_src)] + [("t", i) for i in trees] + [("own",)]
+        for trees in gated
+    ]
 
     def assemble(labels):
         src_cells = [[] for _ in range(n_src)]
@@ -419,15 +428,6 @@ def _enumerate_labelings(ws, g, gated):
                 tree_cells.setdefault(lab[1], []).append(j)
             else:
                 own_pool.append(j)
-        if ws.point:
-            if any(len(js) > 1 for js in tree_cells.values()):
-                return  # one measurement per tree
-            own_splits = [tuple((j,) for j in own_pool)]
-        else:
-            own_splits = [
-                tuple(sorted(tuple(sorted(cell)) for cell in part))
-                for part in _subset_partitions(tuple(own_pool))
-            ]
         base = 0.0
         for s in range(n_src):
             base += ws.src[s](tuple(src_cells[s]))
@@ -444,50 +444,44 @@ def _enumerate_labelings(ws, g, gated):
                 detected.append((i, cell))
             if base == NEG_INF:
                 return
-        for split in own_splits:
+        for part in _subset_partitions(tuple(own_pool), cap):
+            split = tuple(sorted(tuple(sorted(cell)) for cell in part))
             w = base
             for cell in split:
                 w += ws.own_weight(cell)
                 if w == NEG_INF:
                     break
             if w > NEG_INF:
-                yield (
-                    tuple(tuple(c) for c in src_cells),
-                    tuple(detected),
-                    split,
-                    w,
-                )
+                yield tuple(tuple(c) for c in src_cells), tuple(detected), split, w
 
     # itertools.product keeps the first row outermost.
     for labels in itertools.product(*options):
         yield from assemble(labels)
 
 
-def _gibbs_associations(ws, g, g_idx, locs, seed):
-    """Sampled associations for one predicted global hypothesis, whose local
-    hypotheses have the records ``locs``."""
-    m, n, n_src = ws.m, ws.n, len(ws.sources)
-    if any(loc[0] == NEG_INF for loc in locs):
-        raise NumericalError(
-            "a predicted hypothesis cannot miss; sampled association "
-            "requires positive miss weights"
-        )
+def _point_associations(ws, g, g_idx, locs, seed, sample):
+    """Associations of one predicted global hypothesis under the point model
+    with at most one clutter column, whose local hypotheses have the records
+    ``locs`` and can all miss: every vector of positive weight of its
+    association problem, or Gibbs samples of it when ``sample``.  Each is
+    weighed as the hypothesis weight, the miss sum and its problem weight."""
+    n, n_src = ws.n, len(ws.sources)
     miss_base = 0.0
     for loc in locs:
         miss_base += loc[0]
     problem = AssociationProblem([loc[3] for loc in locs], ws.own_col, ws.table.cache, ws.table)
-    w_norm = math.exp(min(g.log_w, 0.0))
-    sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, ws.k, g_idx))))
-    for gamma, lw, _ in run_gibbs(problem, sweeps, rng):
-        src0 = tuple(j for j in range(m) if gamma[j] == 0)
-        yield (
-            g_idx,
-            (src0,) if n_src else (),
-            tuple((v - 1, (j,)) for j, v in enumerate(gamma) if 1 <= v <= n),
-            tuple((j,) for j, v in enumerate(gamma) if v > n),
-            g.log_w + miss_base + lw,
-        )
+    if sample:
+        w_norm = math.exp(min(g.log_w, 0.0))
+        sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, ws.k, g_idx))))
+        vectors = ((gamma, lw) for gamma, lw, _ in run_gibbs(problem, sweeps, rng))
+    else:
+        vectors = candidate_product(problem)
+    for gamma, lw in vectors:
+        src_cells = (tuple(j for j, v in enumerate(gamma) if v == 0),) if n_src else ()
+        detected = tuple((v - 1, (j,)) for j, v in enumerate(gamma) if 1 <= v <= n)
+        own_cells = tuple((j,) for j, v in enumerate(gamma) if v > n)
+        yield g_idx, src_cells, detected, own_cells, g.log_w + miss_base + lw
 
 
 def _fallback_association(ws, d, n_src):

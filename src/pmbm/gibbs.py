@@ -9,9 +9,10 @@ interact.  Eta comes sparse, as the filter update holds it: per tree, the
 (measurement, log eta) pairs it can explain, and per measurement the log
 weight of its own new track.
 
-The filter enumerates small scans itself (``filtering``) and samples the
-rest with the systematic-scan Gibbs sampler here.  ``enumerate_associations``,
-the product of every row's candidates, is the sampler's exact reference,
+The filter update walks a small problem's ``candidate_product``, the
+product of every row's candidates, and samples a larger one with the
+systematic-scan Gibbs sampler here.  ``enumerate_associations`` normalizes
+the same product under a size guard; it is the sampler's exact reference,
 which the oracle and the tests judge it against.  A problem with no clutter
 column (``cache=None``, the merged parameterization where the PPP clutter
 intensity is folded into the new-track weights) is the empty clutter
@@ -117,7 +118,6 @@ class AssociationProblem:
         for j, w in enumerate(self.own):
             if w > NEG_INF:
                 cands[j].append((n + j + 1, w))
-        self._row_w = [dict(c) for c in cands]
 
     def _clutter_log_density(self, idx: tuple) -> float:
         if self._fast is None:
@@ -142,8 +142,11 @@ def assoc_log_weight(p: AssociationProblem, gamma) -> float:
         else:
             if not 1 <= v <= p.n + p.m:
                 raise ConfigurationError(f"association value out of range: {v}")
-            total += p._row_w[j].get(v, NEG_INF)
-            if total == NEG_INF:
+            for u, w in p._row_cands[j]:
+                if u == v:
+                    total += w
+                    break
+            else:
                 return NEG_INF
     return total + p._clutter_log_density(tuple(clutter_idx))
 
@@ -314,25 +317,27 @@ def _leave_positions(block, r0: int, drawn, gamma) -> list:
     return found.tolist() + [min(r0 + _WINDOW, len(block)) * len(gamma)]
 
 
-def enumerate_associations(p: AssociationProblem):
-    """All association vectors of positive weight, with normalized log
-    weights: the product of every row's candidates (clutter first when there
-    is a clutter column, then ``_row_cands``) in that order, each weighed by
-    ``assoc_log_weight``.  No vector when none has positive weight;
-    ``SizeLimitError`` when the product exceeds ``_ENUM_GUARD`` vectors.
-    """
+def candidate_product(p: AssociationProblem):
+    """Every association vector of positive weight, with its unnormalized
+    log weight (``assoc_log_weight``): the product of every row's candidates
+    (clutter first when there is a clutter column, then ``_row_cands``), the
+    first row outermost.  The caller bounds the product's size."""
     head = [0] if p.cache is not None else []
-    rows = [head + [v for v, _ in cands] for cands in p._row_cands]
-    size = math.prod(len(r) for r in rows)
-    if size > _ENUM_GUARD:
-        raise SizeLimitError(f"association space too large to enumerate: {size}")
-    vectors, raw = [], []
-    for gamma in product(*rows):
+    for gamma in product(*[head + [v for v, _ in cands] for cands in p._row_cands]):
         w = assoc_log_weight(p, gamma)
         if w > NEG_INF:
-            vectors.append(gamma)
-            raw.append(w)
-    if not raw:
+            yield gamma, w
+
+
+def enumerate_associations(p: AssociationProblem):
+    """The vectors of ``candidate_product`` with normalized log weights: no
+    vector when none has positive weight, and ``SizeLimitError`` when the
+    product exceeds ``_ENUM_GUARD`` vectors."""
+    size = math.prod(len(cands) + (p.cache is not None) for cands in p._row_cands)
+    if size > _ENUM_GUARD:
+        raise SizeLimitError(f"association space too large to enumerate: {size}")
+    found = list(candidate_product(p))
+    if not found:
         return [], np.zeros(0)
-    raw = np.array(raw)
-    return vectors, raw - logsumexp(raw)
+    vectors, raw = zip(*found)
+    return list(vectors), np.array(raw) - logsumexp(raw)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from pmbm.densities import (
     ellipsoidal_gate,
     predicted_measurement_loglik,
 )
-from pmbm.errors import ConfigurationError
+from pmbm.errors import ConfigurationError, NumericalError
 from pmbm.filtering import (
     FilterConfig,
     PmbmDensity,
@@ -37,6 +38,7 @@ from pmbm.filtering import (
     reduce,
     update,
 )
+from pmbm.gibbs import enumerate_associations
 from pmbm.hypotheses import (
     BernoulliTree,
     ClutterLocalHypothesis,
@@ -48,7 +50,7 @@ from pmbm.hypotheses import (
     validate_global,
 )
 from pmbm.measmodel import ExtendedTargetModel, PointTargetModel
-from pmbm.oracle import target_marginals
+from pmbm.oracle import brute_force_update, compare_signatures, density_signature, target_marginals
 
 NEG_INF = float("-inf")
 LINE = Region((-100.0,), (100.0,))
@@ -272,6 +274,12 @@ class TestFilterConfig:
             {"mbm_prune": math.nan},
             {"ppp_prune": math.nan},
             {"bern_prune": math.nan},
+            {"max_global_hyps": 2.5},
+            {"max_global_hyps": True},
+            {"exhaustive_limit": 2.5},
+            {"exhaustive_limit": True},
+            {"mbm_prune": 1.5},
+            {"bern_prune": 3.0},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -375,18 +383,23 @@ class TestUpdateMergedAndComposite:
         assert rs and all(0.0 < r < 1.0 for r in rs)
 
 
-def _gibbs_counter(monkeypatch):
+def _call_counter(monkeypatch, name):
+    """A list that grows by one at each call of ``filtering.<name>``."""
     from pmbm import filtering
 
     calls = []
-    real_gibbs = filtering.run_gibbs
+    real = getattr(filtering, name)
 
-    def counted_gibbs(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real_gibbs(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(filtering, "run_gibbs", counted_gibbs)
+    monkeypatch.setattr(filtering, name, counted)
     return calls
+
+
+def _gibbs_counter(monkeypatch):
+    return _call_counter(monkeypatch, "run_gibbs")
 
 
 def _cached_clutter_case(regime, region, counting_clutter):
@@ -558,6 +571,90 @@ class TestCountTableStart:
         assert len(calls) == 1
         assert len(want) == 4
         assert_allclose(got, want, rtol=1e-12)
+
+
+def _source(location):
+    return ClutterSource(np.array([location]), 0.8, 1.0, np.array([[1.0]]))
+
+
+class TestAssociationRouting:
+    """Under the point model with at most one clutter column and tracks that
+    can all miss, enumeration walks the association problem's candidate
+    product; the labelings serve only what the problem cannot express."""
+
+    SCAN = np.array([[0.4], [1.2], [9.6], [30.0]])
+
+    @pytest.mark.parametrize(
+        "regime, clutter",
+        [
+            ("arbitrary", nb_line_clutter()),  # count table
+            ("arbitrary", PoissonClutter(2.0, LINE)),  # opaque density
+            ("ppp-merged", PoissonClutter(2.0, LINE)),
+            ("composite", CompositeClutter(PoissonClutter(2.0, LINE), (_source(30.0),))),
+        ],
+        ids=["count-table", "opaque", "merged", "one-source"],
+    )
+    def test_point_update_enumerates_its_association_problem(self, regime, clutter, monkeypatch):
+        from pmbm import filtering
+
+        problems = []
+        real_problem = filtering.AssociationProblem
+
+        def captured(*args, **kwargs):
+            problems.append(real_problem(*args, **kwargs))
+            return problems[-1]
+
+        monkeypatch.setattr(filtering, "AssociationProblem", captured)
+        labelings = _call_counter(monkeypatch, "_enumerate_labelings")
+        gibbs = _gibbs_counter(monkeypatch)
+        cfg = FilterConfig(clutter_regime=regime, exhaustive_limit=10**6)
+        d = multi_track_density([0.0, 10.0])
+        out = checked_update(d, self.SCAN, PointTargetModel(scalar_sensor()), clutter, cfg)
+        assert labelings == [] and gibbs == []
+        (p,) = problems
+        vectors, log_w = enumerate_associations(p)
+        assert len(out.globals_) == len(vectors) > 1
+        assert_allclose(np.exp(global_weights(out)), np.exp(log_w), rtol=1e-12)
+
+    def test_two_source_point_update_enumerates_labelings(self, monkeypatch):
+        labelings = _call_counter(monkeypatch, "_enumerate_labelings")
+        gibbs = _gibbs_counter(monkeypatch)
+        clutter = CompositeClutter(PoissonClutter(2.0, LINE), (_source(30.0), _source(-30.0)))
+        model = PointTargetModel(scalar_sensor())
+        d = multi_track_density([0.0])
+        Z = np.array([[0.4], [30.5], [-29.0]])
+        cfg = FilterConfig(clutter_regime="composite", gate=1e12, exhaustive_limit=10**6)
+        out = checked_update(d, Z, model, clutter, cfg)
+        assert len(labelings) == 1 and gibbs == []
+        want = brute_force_update(d, Z, model, list(clutter.sources), clutter.ppp)
+        ok, lines = compare_signatures(density_signature(out, d, 2), want)
+        assert ok, lines[:5]
+
+    def test_certain_track_under_certain_detection_enumerates_labelings(self, monkeypatch):
+        """pd = 1 and a track certain to exist (ps = 1 keeps it so) cannot
+        miss, so it has no eta ratio: enumeration takes the labelings, and
+        the sampled path refuses it."""
+        labelings = _call_counter(monkeypatch, "_enumerate_labelings")
+        gibbs = _gibbs_counter(monkeypatch)
+        motion = LinearGaussianMotion(np.eye(1), 0.01 * np.eye(1), 1.0)
+        d = predict(multi_track_density([0.0], r=1.0), motion, GaussianMixture())
+        model = PointTargetModel(scalar_sensor(1.0))
+        clutter = nb_line_clutter()
+        Z = np.array([[0.4], [40.0]])  # only the first point is in the track's gate
+        cfg = FilterConfig(clutter_regime="arbitrary")
+        out = checked_update(d, Z, model, clutter, cfg)
+        assert len(labelings) == 1 and gibbs == []
+        want = brute_force_update(d, Z, model, [clutter], None)
+        # Brute force also lets the track take the point outside its gate, at
+        # a weight that vanishes next to the rest.
+        outside = [key for key in want if key[3][0] == (1,)]
+        assert outside and max(want[key].log_w for key in outside) < -100.0
+        ok, lines = compare_signatures(
+            density_signature(out, d, 1), {k: e for k, e in want.items() if k not in outside}
+        )
+        assert ok, lines[:5]
+        with pytest.raises(NumericalError, match="cannot miss"):
+            update(d, Z, model, clutter, replace(cfg, exhaustive_limit=1))
 
 
 class TestReduce:

@@ -271,6 +271,12 @@ class TestFilterBank:
         with pytest.raises(ConfigurationError):
             filter_bank(ScenarioConfig(), ("a-pmbm", "gnn"))
 
+    def test_non_integer_hypothesis_cap_rejected(self):
+        # The Python API takes the cap unchecked; the filter settings refuse
+        # it before any run starts, instead of a crash inside ``reduce``.
+        with pytest.raises(ConfigurationError, match="max_global_hyps"):
+            filter_bank(ScenarioConfig(max_global_hyps=2.5))
+
 
 def fake_record(name, run, totals):
     rows = [(t, t**2 * 0.5, t**2 * 0.25, t**2 * 0.25) for t in totals]
