@@ -15,15 +15,15 @@ regimes:
   is the standard recursion this library generalizes.  No clutter trees.
 
 Under the point model with at most one clutter column, each predicted
-global hypothesis is one ``AssociationProblem``, enumerated when its gate
-table's size fits ``exhaustive_limit`` and Gibbs-sampled above it.  The
-problem holds ratios to miss weights, so what it cannot express (the
-general model, several clutter sources, a point hypothesis that cannot
-miss) is enumerated as labelings, and refused above the limit.  Each
-predicted local hypothesis (i, a) has one per-scan record,
+global hypothesis is one ``AssociationProblem``; it holds ratios to miss
+weights, so what it cannot express (the general model, several clutter
+sources, a point hypothesis that cannot miss) is enumerated as labelings.
+Each generator enumerates when the product it walks is at most
+``exhaustive_limit``; above it problems are Gibbs-sampled and labelings
+refused.  Each predicted local hypothesis (i, a) has one per-scan record,
 ``_UpdateWorkspace.local(i, a)``: its miss factor and existence, the
 measurements it gates and, for the point model, its (measurement, eta)
-pairs, which the problem reads as they are.  Gate tables, problems and
+pairs, which the problem reads as they are.  Labelings, problems and
 hypothesis assembly all come from it.  A new track's weight is shared per
 scan; its posterior is built only for the cells some association uses.
 """
@@ -49,7 +49,7 @@ from .densities import (
     predicted_measurement_loglik,
 )
 from .errors import ConfigurationError, NumericalError, SizeLimitError
-from .gibbs import AssociationProblem, ConditionalTable, candidate_product, run_gibbs
+from .gibbs import AssociationProblem, ConditionalTable, candidate_count, candidate_product, run_gibbs
 from .hypotheses import (
     BernoulliTree,
     ClutterLocalHypothesis,
@@ -161,6 +161,8 @@ def predict(
 
 def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) -> PmbmDensity:
     """One measurement update under the configured clutter regime."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigurationError("seed must be an integer >= 0")
     if cfg.clutter_regime == "arbitrary":
         sources, ppp_c = [clutter], None
     elif cfg.clutter_regime == "composite":
@@ -203,31 +205,10 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
         if g.log_w == NEG_INF:
             continue
         locs = [ws.local(i, a) for i, a in enumerate(g.berns)]
-        gated = ws.gated_trees(locs)
-        est = 1
-        for trees in gated:
-            est *= n_src + 1 + len(trees)
-            if est > cfg.exhaustive_limit:
-                break
-        if not ws.point and est <= cfg.exhaustive_limit:
-            est *= bell(min(ws.m, 20))
-        fits = est <= cfg.exhaustive_limit
         if ws.point and n_src <= 1 and all(loc[0] > NEG_INF for loc in locs):
-            assoc.extend(_point_associations(ws, g, g_idx, locs, seed, sample=not fits))
-        elif fits:
-            for src_cells, detected, own_cells, w in _enumerate_labelings(ws, g, gated):
-                assoc.append((g_idx, src_cells, detected, own_cells, g.log_w + w))
-        elif not ws.point:
-            raise SizeLimitError(
-                "general-model updates support exhaustive association only; "
-                "raise exhaustive_limit or reduce the scan"
-            )
-        elif n_src > 1:
-            raise SizeLimitError("multi-source association spaces must fit the exhaustive limit")
+            assoc.extend(_point_associations(ws, g, g_idx, locs, seed))
         else:
-            raise NumericalError(
-                "a predicted hypothesis cannot miss; sampled association requires positive miss weights"
-            )
+            assoc.extend(_enumerate_labelings(ws, g, g_idx, locs))
     if not assoc:
         assoc = [_fallback_association(ws, d, n_src)]
         warnings.warn("no association had positive weight; forced all-clutter fallback")
@@ -327,16 +308,6 @@ class _UpdateWorkspace:
             rec = self._local[(i, a)] = (log_miss, r_miss, rows, eta)
         return rec
 
-    def gated_trees(self, locs):
-        """Gate table of a predicted global hypothesis, given the records
-        ``locs`` of its local hypotheses: entry j lists, in ascending order,
-        the trees whose hypothesis gates measurement j."""
-        rows = [[] for _ in range(self.m)]
-        for i, loc in enumerate(locs):
-            for j in loc[2]:
-                rows[j].append(i)
-        return rows
-
     def det_info(self, i, a, cell):
         """Detection factor and posterior for tree i, hypothesis a and a cell
         (tuple of measurement indices)."""
@@ -398,24 +369,41 @@ class _UpdateWorkspace:
         return lws, comps
 
 
-def _enumerate_labelings(ws, g, gated):
-    """Exhaustive association for one predicted global hypothesis with gate
-    table ``gated`` (``ws.gated_trees``), for what an association problem
-    cannot express: the general model, several clutter sources, and a point
-    hypothesis that cannot miss.
+def _enumerate_labelings(ws, g, g_idx, locs):
+    """Exhaustive association of predicted global hypothesis ``g`` with the
+    records ``locs``, for what an association problem cannot express: the
+    general model, several clutter sources, a point hypothesis that cannot
+    miss.  Each measurement is labelled a clutter source, a tree that gates
+    it or a new track; past ``exhaustive_limit`` labelings (times
+    Bell(min(m, 20)) for the general model) this refuses.
 
-    Yields (src_cells, detected, own_cells, log_factor) with cells as
-    tuples of 0-based measurement indices and ``detected`` the (tree, cell)
-    pairs of the trees that detect; log_factor is the absolute this-scan
-    factor (clutter, miss/detection and new-track terms).
+    Yields (g_idx, src_cells, detected, own_cells, log_w): cells are tuples
+    of 0-based measurement indices, ``detected`` the (tree, cell) pairs of
+    the trees that detect, log_w the weight of ``g`` times the scan factor.
     """
     n, n_src, cap = ws.n, len(ws.sources), ws.model.max_subset
     # The gate only shortlists: ``assemble`` evaluates the factor of each full
     # cell and drops labelings whose weight is zero.
-    options = [
-        [("c", s) for s in range(n_src)] + [("t", i) for i in trees] + [("own",)]
-        for trees in gated
-    ]
+    options = [[("c", s) for s in range(n_src)] for _ in range(ws.m)]
+    for i, loc in enumerate(locs):
+        for j in loc[2]:
+            options[j].append(("t", i))
+    for row in options:
+        row.append(("own",))
+    size = math.prod(len(row) for row in options)
+    if not ws.point:
+        size *= bell(min(ws.m, 20))
+    if size > ws.cfg.exhaustive_limit:
+        if not ws.point:
+            raise SizeLimitError(
+                "general-model updates support exhaustive association only; "
+                "raise exhaustive_limit or reduce the scan"
+            )
+        if n_src > 1:
+            raise SizeLimitError("multi-source association spaces must fit the exhaustive limit")
+        raise NumericalError(
+            "a predicted hypothesis cannot miss; sampled association requires positive miss weights"
+        )
 
     def assemble(labels):
         src_cells = [[] for _ in range(n_src)]
@@ -452,25 +440,26 @@ def _enumerate_labelings(ws, g, gated):
                 if w == NEG_INF:
                     break
             if w > NEG_INF:
-                yield tuple(tuple(c) for c in src_cells), tuple(detected), split, w
+                yield g_idx, tuple(tuple(c) for c in src_cells), tuple(detected), split, g.log_w + w
 
     # itertools.product keeps the first row outermost.
     for labels in itertools.product(*options):
         yield from assemble(labels)
 
 
-def _point_associations(ws, g, g_idx, locs, seed, sample):
+def _point_associations(ws, g, g_idx, locs, seed):
     """Associations of one predicted global hypothesis under the point model
     with at most one clutter column, whose local hypotheses have the records
     ``locs`` and can all miss: every vector of positive weight of its
-    association problem, or Gibbs samples of it when ``sample``.  Each is
-    weighed as the hypothesis weight, the miss sum and its problem weight."""
+    association problem when its candidate product is at most
+    ``exhaustive_limit``, else Gibbs samples of it.  Each is weighed as the
+    hypothesis weight, the miss sum and its problem weight."""
     n, n_src = ws.n, len(ws.sources)
     miss_base = 0.0
     for loc in locs:
         miss_base += loc[0]
     problem = AssociationProblem([loc[3] for loc in locs], ws.own_col, ws.table.cache, ws.table)
-    if sample:
+    if candidate_count(problem) > ws.cfg.exhaustive_limit:
         w_norm = math.exp(min(g.log_w, 0.0))
         sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, ws.k, g_idx))))

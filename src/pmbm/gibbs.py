@@ -9,10 +9,11 @@ interact.  Eta comes sparse, as the filter update holds it: per tree, the
 (measurement, log eta) pairs it can explain, and per measurement the log
 weight of its own new track.
 
-The filter update walks a small problem's ``candidate_product``, the
-product of every row's candidates, and samples a larger one with the
-systematic-scan Gibbs sampler here.  ``enumerate_associations`` normalizes
-the same product under a size guard; it is the sampler's exact reference,
+The filter update walks a problem's ``candidate_product``, the product of
+every row's candidates, when its size ``candidate_count`` fits the limit,
+and samples a larger one with the systematic-scan Gibbs sampler here.
+``enumerate_associations`` normalizes the same product under a guard on
+the same count; it is the sampler's exact reference,
 which the oracle and the tests judge it against.  A problem with no clutter
 column (``cache=None``, the merged parameterization where the PPP clutter
 intensity is folded into the new-track weights) is the empty clutter
@@ -321,7 +322,7 @@ def candidate_product(p: AssociationProblem):
     """Every association vector of positive weight, with its unnormalized
     log weight (``assoc_log_weight``): the product of every row's candidates
     (clutter first when there is a clutter column, then ``_row_cands``), the
-    first row outermost.  The caller bounds the product's size."""
+    first row outermost.  The caller bounds its size, ``candidate_count(p)``."""
     head = [0] if p.cache is not None else []
     for gamma in product(*[head + [v for v, _ in cands] for cands in p._row_cands]):
         w = assoc_log_weight(p, gamma)
@@ -329,11 +330,17 @@ def candidate_product(p: AssociationProblem):
             yield gamma, w
 
 
+def candidate_count(p: AssociationProblem) -> int:
+    """How many vectors ``candidate_product(p)`` walks: the product over rows
+    of their candidates, plus clutter when there is a clutter column."""
+    return math.prod(len(cands) + (p.cache is not None) for cands in p._row_cands)
+
+
 def enumerate_associations(p: AssociationProblem):
     """The vectors of ``candidate_product`` with normalized log weights: no
     vector when none has positive weight, and ``SizeLimitError`` when the
     product exceeds ``_ENUM_GUARD`` vectors."""
-    size = math.prod(len(cands) + (p.cache is not None) for cands in p._row_cands)
+    size = candidate_count(p)
     if size > _ENUM_GUARD:
         raise SizeLimitError(f"association space too large to enumerate: {size}")
     found = list(candidate_product(p))

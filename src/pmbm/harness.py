@@ -99,8 +99,12 @@ class ScenarioConfig:
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ConfigurationError(f"{name} must be finite")
-        if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
+        for name, low in (("steps", 1), ("runs", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigurationError(f"{name} must be an integer >= {low}")
+            if v < low:
+                raise ConfigurationError(f"{name} must be >= {low}")
         for name in ("survival", "detection", "estimator_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -116,10 +120,6 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown truth mode: {self.truth_mode}")
         if not all(h > l for l, h in zip(self.region_lo, self.region_hi)):
             raise ConfigurationError("region must be nonempty")
-        if self.runs < 1:
-            raise ConfigurationError("runs must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
         for name in ("dt", "accel_noise", "meas_noise"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be > 0")

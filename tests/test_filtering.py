@@ -27,7 +27,7 @@ from pmbm.densities import (
     ellipsoidal_gate,
     predicted_measurement_loglik,
 )
-from pmbm.errors import ConfigurationError, NumericalError
+from pmbm.errors import ConfigurationError, NumericalError, SizeLimitError
 from pmbm.filtering import (
     FilterConfig,
     PmbmDensity,
@@ -475,7 +475,7 @@ class TestGateTable:
             ("ppp-merged", PoissonClutter(2.0, LINE), 2),  # (0 + 1 + 1) x (0 + 1)
         ],
     )
-    def test_enumeration_size_counts_gated_trees_per_row(self, regime, clutter, product, monkeypatch):
+    def test_enumeration_size_counts_candidates_per_row(self, regime, clutter, product, monkeypatch):
         calls = _gibbs_counter(monkeypatch)
         d = multi_track_density([0.0])
         model = PointTargetModel(scalar_sensor())
@@ -484,6 +484,24 @@ class TestGateTable:
             cfg = FilterConfig(clutter_regime=regime, gate=4.0, exhaustive_limit=limit)
             checked_update(d, self.SCAN, model, clutter, cfg)
             assert len(calls) == sampled, limit
+
+    def test_rows_without_a_new_track_candidate_shrink_the_product(self, monkeypatch):
+        """With no PPP intensity no row can take a new track, so under an open
+        gate each row holds clutter or the track: a candidate product of 4,
+        though each row has three labels (9 in all)."""
+        calls = _gibbs_counter(monkeypatch)
+        tracks = multi_track_density([0.0])
+        d = PmbmDensity(GaussianMixture(), tracks.trees, [], tracks.globals_, frozenset(), 0)
+        model = PointTargetModel(scalar_sensor())
+        clutter = nb_line_clutter()
+        cfg = FilterConfig(clutter_regime="arbitrary", gate=1e12, exhaustive_limit=4)
+        out = checked_update(d, self.SCAN, model, clutter, cfg)
+        assert calls == []
+        want = brute_force_update(d, self.SCAN, model, [clutter], None)
+        ok, lines = compare_signatures(density_signature(out, d, 1), want)
+        assert ok, lines[:5]
+        checked_update(d, self.SCAN, model, clutter, replace(cfg, exhaustive_limit=3))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("limit", [10**6, 1])  # enumerated, sampled
     def test_trees_take_only_gated_measurements(self, limit, monkeypatch):
@@ -655,6 +673,40 @@ class TestAssociationRouting:
         assert ok, lines[:5]
         with pytest.raises(NumericalError, match="cannot miss"):
             update(d, Z, model, clutter, replace(cfg, exhaustive_limit=1))
+
+    def test_general_model_past_the_limit_refused(self):
+        # Each of the two rows is clutter or a new track, times Bell(2) = 2
+        # own-track partitions: 8 labelings.
+        d = ppp_only_density(var=4.0)
+        model = ExtendedTargetModel(scalar_sensor(), 1.5)
+        Z = np.array([[0.3], [-0.4]])
+        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=8)
+        assert len(checked_update(d, Z, model, nb_line_clutter(), cfg).globals_) == 5
+        with pytest.raises(SizeLimitError, match="general-model"):
+            update(d, Z, model, nb_line_clutter(), replace(cfg, exhaustive_limit=7))
+
+    def test_two_source_point_update_past_the_limit_refused(self):
+        # Each of the three rows is either source, the track or a new track.
+        clutter = CompositeClutter(PoissonClutter(2.0, LINE), (_source(30.0), _source(-30.0)))
+        model = PointTargetModel(scalar_sensor())
+        d = multi_track_density([0.0])
+        Z = np.array([[0.4], [30.5], [-29.0]])
+        cfg = FilterConfig(clutter_regime="composite", gate=1e12, exhaustive_limit=4**3)
+        checked_update(d, Z, model, clutter, cfg)
+        with pytest.raises(SizeLimitError, match="multi-source"):
+            update(d, Z, model, clutter, replace(cfg, exhaustive_limit=4**3 - 1))
+
+    @pytest.mark.parametrize("limit", [10**6, 1])  # enumerated, sampled
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_invalid_seed_refused_on_every_path(self, seed, limit, monkeypatch):
+        gibbs = _gibbs_counter(monkeypatch)
+        model = PointTargetModel(scalar_sensor())
+        cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=limit)
+        d = multi_track_density([0.0, 10.0])
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            update(d, self.SCAN, model, nb_line_clutter(), cfg, seed=seed)
+        checked_update(d, self.SCAN, model, nb_line_clutter(), cfg)
+        assert len(gibbs) == (limit == 1)
 
 
 class TestReduce:

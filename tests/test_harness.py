@@ -90,6 +90,14 @@ class TestScenarioConfig:
             {"birth_weight": -0.1},
             # numpy refused it only inside experiment(), with a traceback.
             {"seed": -1},
+            # From the Python API these crashed experiment() with a TypeError,
+            # and steps=True ran one step.
+            {"steps": 2.5},
+            {"runs": 1.5},
+            {"seed": 1.5},
+            {"steps": True},
+            {"runs": True},
+            {"seed": False},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
