@@ -66,6 +66,9 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {args.out}/gospa.csv, curves.csv, summary.json, config.yaml")
     for name in names:
         m = summary["metrics"][name]
+        if not m["runs"]:
+            print(f"{name:>7}: all {m['failed_runs']} runs failed")
+            continue
         print(
             f"{name:>7}: rms-gospa {m['rms_total']:.3f}  "
             f"({m['runs']} runs, {m['failed_runs']} failed, "

@@ -17,22 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .densities import GaussianDensity, LinearGaussianSensor, gaussian_logpdf
+from .densities import GaussianDensity, LinearGaussianSensor, as_scan, gaussian_logpdf
 from .errors import ConfigurationError, SizeLimitError
 from .measmodel import ExtendedTargetModel, extended_set_density
 
 NEG_INF = float("-inf")
 _TRUNCATION_TAIL = 1e-14
-
-
-def _as_scan(Z) -> np.ndarray:
-    """Normalize a measurement-set argument to an (m, dz) array."""
-    if Z is None:
-        return np.zeros((0, 1))
-    arr = np.asarray(Z, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 1)
-    return np.atleast_2d(arr)
 
 
 @dataclass(frozen=True)
@@ -47,6 +37,8 @@ class Region:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigurationError("region bounds must be matching vectors")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ConfigurationError(f"region bounds must be finite, got {lo} and {hi}")
         if not np.all(hi > lo):
             raise ConfigurationError("region must have positive extent")
         lo.setflags(write=False)
@@ -63,7 +55,7 @@ class Region:
         return float(np.prod(self.hi - self.lo))
 
     def contains(self, Z: np.ndarray) -> np.ndarray:
-        Z = _as_scan(Z)
+        Z = as_scan(Z, self.dim)
         return np.all((Z >= self.lo) & (Z <= self.hi), axis=1)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -75,8 +67,8 @@ class PoissonCardinality:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 0.0:
-            raise ConfigurationError("Poisson mean must be >= 0")
+        if not 0.0 <= self.mean < math.inf:
+            raise ConfigurationError(f"Poisson mean must be finite and >= 0, got {self.mean}")
 
     def log_pmf(self, m: int) -> float:
         if m < 0:
@@ -100,8 +92,8 @@ class NegBinomialCardinality:
     p: float
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise ConfigurationError("negative binomial r must be > 0")
+        if not 0.0 < self.r < math.inf:
+            raise ConfigurationError(f"negative binomial r must be finite and > 0, got {self.r}")
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError("negative binomial p must lie in (0, 1]")
 
@@ -162,12 +154,12 @@ class PoissonClutter:
     region: Region
 
     def __post_init__(self):
-        if self.rate < 0.0:
-            raise ConfigurationError("clutter rate must be >= 0")
+        if not 0.0 <= self.rate < math.inf:
+            raise ConfigurationError(f"clutter rate must be finite and >= 0, got {self.rate}")
 
     def log_intensity(self, Z) -> np.ndarray:
         """Per-measurement log λ(z): rate/|A| inside the region, 0 outside."""
-        Z = _as_scan(Z)
+        Z = as_scan(Z, self.region.dim)
         out = np.full(Z.shape[0], NEG_INF)
         if self.rate > 0.0:
             inside = self.region.contains(Z)
@@ -175,7 +167,6 @@ class PoissonClutter:
         return out
 
     def log_density(self, Z) -> float:
-        Z = _as_scan(Z)
         return -self.rate + float(np.sum(self.log_intensity(Z)))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -195,16 +186,14 @@ class IidClusterClutter:
         return float(gammaln(x + 1)) + self.cardinality.log_pmf(x) - x * math.log(self.region.area)
 
     def log_density(self, Z) -> float:
-        Z = _as_scan(Z)
-        m = Z.shape[0]
-        if m and not bool(np.all(self.region.contains(Z))):
+        inside = self.region.contains(Z)
+        if not inside.all():
             return NEG_INF
-        return self._log_count(m)
+        return self._log_count(inside.size)
 
     def count_table(self, Z) -> tuple:
         """``(table, inside)``: ``table[x]`` is log c of x in-region points for
         x = 0..|Z| and ``inside[j]`` says whether Z[j] lies in the region."""
-        Z = _as_scan(Z)
         inside = self.region.contains(Z).tolist()
         return [self._log_count(x) for x in range(len(inside) + 1)], inside
 
@@ -234,12 +223,11 @@ class ClutterSource:
         object.__setattr__(self, "_model", model)
 
     def log_density(self, Z) -> float:
-        Z = _as_scan(Z)
         return extended_set_density(self._model, Z, self.location)
 
     def log_meas_density(self, Z) -> np.ndarray:
         """Per-measurement log N(z; location, cov)."""
-        return np.array([gaussian_logpdf(z, self._dens) for z in _as_scan(Z)])
+        return np.array([gaussian_logpdf(z, self._dens) for z in as_scan(Z, self.location.size)])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if rng.random() >= self.pd:
@@ -268,7 +256,7 @@ class CompositeClutter:
         its own measurements, so it costs O(2^s · m) for s sources and m
         measurements; tests cross-check against brute force.
         """
-        Z = _as_scan(Z)
+        Z = as_scan(Z, self.ppp.region.dim)
         n_src = len(self.sources)
         # Row 0 is log λ(z) of the PPP, row 1+s log(rate_s N(z; source s)).
         per_z = np.stack(

@@ -43,6 +43,21 @@ def _as_readonly(a, shape=None) -> np.ndarray:
     return out
 
 
+def as_scan(Z, dim: int) -> np.ndarray:
+    """Z as a measurement set: a float (m, dim) array.  An empty input of any
+    shape is the empty set and a rank-0 or rank-1 input one measurement; any
+    other rank or width raises ConfigurationError.  Entries are not checked
+    for finiteness: ``filtering.update`` refuses a non-finite scan."""
+    arr = np.asarray(Z, dtype=float)
+    if arr.size == 0:
+        return arr.reshape(0, dim)
+    if arr.ndim < 2:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ConfigurationError(f"measurements need width {dim}, got shape {arr.shape}")
+    return arr
+
+
 def _check_symmetric(cov: np.ndarray, what: str) -> None:
     scale = max(1.0, float(np.max(np.abs(cov))))
     if np.max(np.abs(cov - cov.T)) > _SYM_RTOL * scale:
@@ -245,7 +260,7 @@ def predicted_measurement_loglik(
     d: GaussianDensity, sensor: LinearGaussianSensor, Z: np.ndarray
 ) -> np.ndarray:
     """log N(z; H m, S) for each row z of Z, without forming posteriors."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = as_scan(Z, sensor.meas_dim)
     rec = _innovation(d, sensor)
     maha = _innovation_maha(rec, Z)
     return -0.5 * (maha + rec.log_det + Z.shape[1] * _LOG_2PI)
@@ -256,7 +271,7 @@ def ellipsoidal_gate(
 ) -> np.ndarray:
     """Boolean mask of rows of Z whose squared Mahalanobis innovation
     distance is below the gate threshold."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = as_scan(Z, sensor.meas_dim)
     if Z.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     return _innovation_maha(_innovation(d, sensor), Z) <= gamma

@@ -43,6 +43,7 @@ from .clutter import ClutterCache, CompositeClutter, PoissonClutter
 from .densities import (
     GaussianMixture,
     LinearGaussianMotion,
+    as_scan,
     ellipsoidal_gate,
     kalman_predict,
     moment_match,
@@ -173,12 +174,7 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
         if not isinstance(clutter, PoissonClutter):
             raise ConfigurationError("ppp-merged regime needs a PoissonClutter model")
         sources, ppp_c = [], clutter
-    Z = np.asarray(Z, dtype=float)
-    if Z.size == 0:
-        Z = Z.reshape(0, model.sensor.meas_dim)
-    Z = np.atleast_2d(Z)
-    if Z.shape[1] != model.sensor.meas_dim:
-        raise ConfigurationError("scan dimension does not match the sensor")
+    Z = as_scan(Z, model.sensor.meas_dim)
     if not np.isfinite(Z).all():
         raise ConfigurationError("scan holds a non-finite value")
     n_src = len(sources)

@@ -64,7 +64,8 @@ OUTPUT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All scenario and filter parameters for one experiment."""
+    """All scenario and filter parameters for one experiment.  Each field
+    takes its default's type (``_fits``); sequence entries become floats."""
 
     steps: int = 81
     dt: float = 1.0
@@ -95,15 +96,18 @@ class ScenarioConfig:
     estimator_threshold: float = 0.4
 
     def __post_init__(self):
-        for name, value in vars(self).items():
+        for name, f in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if not _fits(value, f.default):
+                raise ConfigurationError(f"{name} needs a value like {f.default!r}, got {value!r}")
+            if isinstance(f.default, tuple):
+                value = tuple(float(v) for v in value)
+                object.__setattr__(self, name, value)
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ConfigurationError(f"{name} must be finite")
         for name, low in (("steps", 1), ("runs", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ConfigurationError(f"{name} must be an integer >= {low}")
-            if v < low:
+            if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}")
         for name in ("survival", "detection", "estimator_threshold"):
             v = getattr(self, name)
@@ -146,17 +150,9 @@ def _fits(value, default) -> bool:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    fields = ScenarioConfig.__dataclass_fields__
-    unknown = set(data) - set(fields)
+    unknown = set(data) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if not _fits(value, fields[key].default):
-            raise ConfigurationError(f"{key} needs a value like {fields[key].default!r}, got {value!r}")
-    data = dict(data)
-    for key in ("birth_mean", "birth_std", "region_lo", "region_hi"):
-        if key in data:
-            data[key] = tuple(float(v) for v in data[key])
     return ScenarioConfig(**data)
 
 
@@ -402,20 +398,21 @@ def aggregate_metrics(records: list) -> dict:
     good = [r for r in records if not r.failed]
     if not good:
         raise NumericalError("no successful runs to aggregate")
-    filters = list(dict.fromkeys(r.filter for r in good))
     out = {}
-    for name in filters:
+    for name in dict.fromkeys(r.filter for r in records):
         runs = [r for r in good if r.filter == name]
-        steps = len(runs[0].gospa)
+        steps = len(runs[0].gospa) if runs else 0
         curve = [
             _rms(r.gospa[k][0] for r in runs) for k in range(steps)
         ]
         per_run = {r.run: _rms(t[0] for t in r.gospa) for r in runs}
+        ms = [m for r in runs for m in r.ms]
         out[name] = {
-            "rms_total": _rms(t[0] for r in runs for t in r.gospa),
+            # None (JSON null) for a filter all of whose runs failed
+            "rms_total": _rms(t[0] for r in runs for t in r.gospa) if runs else None,
             "curve": curve,
             "per_run_rms": per_run,
-            "mean_ms_per_step": float(np.mean([m for r in runs for m in r.ms])) if runs[0].ms else 0.0,
+            "mean_ms_per_step": float(np.mean(ms)) if ms else None,
             "runs": len(runs),
             "failed_runs": len([r for r in records if r.filter == name and r.failed]),
         }

@@ -22,6 +22,7 @@ import numpy as np
 from .densities import (
     GaussianDensity,
     LinearGaussianSensor,
+    as_scan,
     gaussian_logpdf,
     kalman_update,
 )
@@ -51,7 +52,7 @@ class PointTargetModel:
 
         Subsets with more than one element have density zero under this model.
         """
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        Z = as_scan(Z, self.sensor.meas_dim)
         if Z.shape[0] != 1:
             return NEG_INF, None
         if self.sensor.pd == 0.0:
@@ -68,8 +69,8 @@ class ExtendedTargetModel:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0.0:
-            raise ConfigurationError("extended-target measurement rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ConfigurationError(f"measurement rate must be finite and > 0, got {self.rate}")
 
     @property
     def max_subset(self) -> None:
@@ -90,7 +91,7 @@ class ExtendedTargetModel:
         The likelihood is the count term plus the predictive log-likelihoods
         of the sequential Kalman updates that also give the posterior.
         """
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        Z = as_scan(Z, self.sensor.meas_dim)
         if Z.shape[0] == 0 or self.sensor.pd == 0.0:
             return NEG_INF, None
         log_lik, post = self._log_count_term(Z.shape[0]), d
@@ -102,7 +103,7 @@ class ExtendedTargetModel:
 
 def extended_set_density(model: ExtendedTargetModel, Z: np.ndarray, x) -> float:
     """log f(Z|x) at state x."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float)) if np.size(Z) else np.zeros((0, model.sensor.meas_dim))
+    Z = as_scan(Z, model.sensor.meas_dim)
     if Z.shape[0] == 0:
         return model.log_f_empty()
     if model.sensor.pd == 0.0:

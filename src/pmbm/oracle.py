@@ -25,7 +25,7 @@ from .clutter import (
     Region,
     nb_from_mean_dispersion,
 )
-from .densities import GaussianDensity, GaussianMixture, LinearGaussianSensor, moment_match
+from .densities import GaussianDensity, GaussianMixture, LinearGaussianSensor, as_scan, moment_match
 from .errors import ConfigurationError
 from .filtering import FilterConfig, PmbmDensity, update
 from .gibbs import AssociationProblem, assoc_log_weight, enumerate_associations, gibbs_conditional, run_gibbs
@@ -78,10 +78,7 @@ def brute_force_update(d: PmbmDensity, Z, model, sources, ppp_c):
     ((clutter parents), (tree parents), (source cells), (tree cells),
     (own cells sorted)).  Measurement indices are 0-based.
     """
-    Z = np.asarray(Z, dtype=float)
-    if Z.size == 0:
-        Z = Z.reshape(0, model.sensor.meas_dim)
-    Z = np.atleast_2d(Z)
+    Z = as_scan(Z, model.sensor.meas_dim)
     m = Z.shape[0]
     n = len(d.trees)
     n_src = len(sources)

@@ -1,8 +1,10 @@
 """Return-code and output contract of the console entry point."""
 
+import json
+
 import pytest
 
-from pmbm import cli
+from pmbm import cli, harness
 from pmbm.cli import main
 from pmbm.errors import NumericalError, SizeLimitError
 
@@ -125,3 +127,27 @@ def test_failing_oracle_exits_one(monkeypatch, capsys, check):
     assert main(["oracle", "--check", check, "--seed", "3"]) == 1
     assert seeds == [3]
     assert capsys.readouterr().out == "report\n"
+
+
+def test_filter_whose_every_run_failed_is_summarized(monkeypatch, tmp_path, capsys):
+    # The summary listed only filters with a good run, so printing it raised
+    # KeyError and summary.json lost the failed runs.
+    real_update = harness.update
+
+    def update(d, scan, model, clutter, cfg, seed=0):
+        if cfg.mode == "pmb":
+            raise NumericalError("pmb broke")
+        return real_update(d, scan, model, clutter, cfg, seed=seed)
+
+    monkeypatch.setattr(harness, "update", update)
+    config = tmp_path / "tiny.yaml"
+    config.write_text("steps: 2\nruns: 2\nmax_global_hyps: 20\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--filters", "pmbm,pmb", "--out", str(out)]) == 0
+    assert "    pmb: all 2 runs failed\n" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"]["pmb"] == {
+        "rms_total": None, "curve": [], "mean_ms_per_step": None, "runs": 0, "failed_runs": 2,
+    }
+    assert summary["metrics"]["pmbm"]["runs"] == 2
+    assert "\npmb," not in (out / "curves.csv").read_text()

@@ -216,3 +216,57 @@ class TestKld:
         for f in (poisson_nb_kld, nb_from_mean_dispersion):
             with pytest.raises(ConfigurationError, match=f"clutter {name} must be finite"):
                 f(mean, dispersion)
+
+
+PLANE = Region((0.0, 0.0), (300.0, 300.0))
+SOURCE = ClutterSource(np.array([100.0, 100.0]), 0.9, 2.0, 9.0 * np.eye(2))
+
+
+class TestParameters:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            # nan rate made every merged-regime measurement a certain new
+            # track; nan r and a nan source rate forced the all-clutter fallback.
+            (lambda: PoissonClutter(math.nan, PLANE), "clutter rate"),
+            (lambda: PoissonClutter(math.inf, PLANE), "clutter rate"),
+            (lambda: IidClusterClutter(NegBinomialCardinality(math.nan, 0.5), PLANE), "negative binomial r"),
+            (lambda: NegBinomialCardinality(math.inf, 0.5), "negative binomial r"),
+            (lambda: PoissonCardinality(math.nan), "Poisson mean"),
+            (lambda: PoissonCardinality(math.inf), "Poisson mean"),
+            (lambda: ClutterSource(np.array([1.0, 1.0]), 0.5, math.nan, np.eye(2)), "rate"),
+            (lambda: Region((0.0, 0.0), (1.0, math.inf)), "region bounds"),
+            (lambda: Region((-math.inf, 0.0), (1.0, 1.0)), "region bounds"),
+        ],
+    )
+    def test_non_finite_parameter_refused(self, build, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            build()
+
+
+class TestScanWidth:
+    """Every clutter evaluation refuses rows of another width than its
+    region or source; numpy broadcast 1-wide rows and raised its own
+    ValueError for 3-wide ones."""
+
+    EVALUATIONS = [
+        lambda Z: PLANE.contains(Z),
+        lambda Z: PoissonClutter(5.0, PLANE).log_intensity(Z),
+        lambda Z: PoissonClutter(5.0, PLANE).log_density(Z),
+        lambda Z: PoissonClutter(0.0, PLANE).log_density(Z),
+        lambda Z: IidClusterClutter(PoissonCardinality(5.0), PLANE).log_density(Z),
+        lambda Z: IidClusterClutter(PoissonCardinality(5.0), PLANE).count_table(Z),
+        lambda Z: SOURCE.log_density(Z),
+        lambda Z: SOURCE.log_meas_density(Z),
+        lambda Z: CompositeClutter(PoissonClutter(5.0, PLANE), (SOURCE,)).log_density(Z),
+    ]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("evaluate", EVALUATIONS)
+    def test_other_width_refused(self, evaluate, width):
+        with pytest.raises(ConfigurationError, match="need width 2"):
+            evaluate(np.full((2, width), 50.0))
+
+    @pytest.mark.parametrize("evaluate", EVALUATIONS)
+    def test_empty_scan_of_any_shape_is_the_empty_set(self, evaluate):
+        assert repr(evaluate(np.zeros(0))) == repr(evaluate(np.zeros((0, 2))))

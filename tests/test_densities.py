@@ -1,6 +1,7 @@
 """Gaussian primitives: construction, prediction, update, gating, mixtures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pmbm.densities import (
     GaussianMixture,
     LinearGaussianMotion,
     LinearGaussianSensor,
+    as_scan,
     ellipsoidal_gate,
     gaussian_logpdf,
     kalman_predict,
@@ -202,6 +204,39 @@ class TestGate:
         inside_large = ellipsoidal_gate(d, sensor, [[offset]], t1 + extra)[0]
         if inside_small:
             assert inside_large
+
+
+class TestAsScan:
+    @pytest.mark.parametrize("Z", [[], np.zeros(0), np.zeros((0, 1)), np.zeros((0, 3)), np.zeros((2, 0, 3))])
+    def test_empty_input_is_the_empty_set(self, Z):
+        out = as_scan(Z, 2)
+        assert out.shape == (0, 2) and out.dtype == float
+
+    @pytest.mark.parametrize("Z, want", [(3, [[3.0]]), ([1, 2], [[1.0, 2.0]]), ([[1, 2], [3, 4]], [[1.0, 2.0], [3.0, 4.0]])])
+    def test_rows_are_measurements(self, Z, want):
+        dim = len(want[0])
+        out = as_scan(Z, dim)
+        assert out.dtype == float and out.tolist() == want
+
+    @pytest.mark.parametrize(
+        "Z, shape", [([1.0, 2.0, 3.0], "(1, 3)"), (np.zeros((4, 3)), "(4, 3)"), (np.ones((1, 1, 2)), "(1, 1, 2)")]
+    )
+    def test_other_width_or_rank_refused(self, Z, shape):
+        with pytest.raises(ConfigurationError, match=f"need width 2, got shape {re.escape(shape)}"):
+            as_scan(Z, 2)
+
+    def test_non_finite_rows_pass(self):
+        # The one finiteness check on scans is ``filtering.update``'s.
+        assert np.isnan(as_scan([[math.nan, 1.0]], 2)).any()
+
+    @pytest.mark.parametrize("kernel", [ellipsoidal_gate, predicted_measurement_loglik])
+    def test_kernels_refuse_another_width(self, kernel, pos_sensor):
+        # The 4-state sensor measures 2-D positions; numpy would have
+        # broadcast a (1, 1) row against them.
+        d = GaussianDensity(np.zeros(4), np.eye(4))
+        args = (20.0,) if kernel is ellipsoidal_gate else ()
+        with pytest.raises(ConfigurationError, match="need width 2"):
+            kernel(d, pos_sensor, np.zeros((1, 1)), *args)
 
 
 class TestMomentMatch:

@@ -50,7 +50,16 @@ from pmbm.hypotheses import (
     validate_global,
 )
 from pmbm.measmodel import ExtendedTargetModel, PointTargetModel
-from pmbm.oracle import brute_force_update, compare_signatures, density_signature, target_marginals
+from pmbm.oracle import (
+    _random_clutter,
+    _random_density,
+    _random_model,
+    _random_scan,
+    brute_force_update,
+    compare_signatures,
+    density_signature,
+    target_marginals,
+)
 
 NEG_INF = float("-inf")
 LINE = Region((-100.0,), (100.0,))
@@ -207,6 +216,20 @@ class TestUpdateArbitrary:
                 nb_line_clutter(),
                 self.CFG,
             )
+
+    @pytest.mark.parametrize("regime", ["arbitrary", "ppp-merged"])
+    def test_clutter_region_of_another_dimension_rejected(self, regime):
+        # A 2-D region against a 1-D sensor was broadcast: the update ran
+        # and returned 4 (arbitrary) or 1 (merged) global hypotheses.
+        plane = Region((-100.0, -100.0), (100.0, 100.0))
+        clutter = PoissonClutter(2.0, plane)
+        Z = np.array([[0.5], [3.0]])
+        model = PointTargetModel(scalar_sensor())
+        sources, ppp_c = ([clutter], None) if regime == "arbitrary" else ([], clutter)
+        with pytest.raises(ConfigurationError, match="need width 2"):
+            update(ppp_only_density(), Z, model, clutter, FilterConfig(clutter_regime=regime))
+        with pytest.raises(ConfigurationError, match="need width 2"):
+            brute_force_update(ppp_only_density(), Z, model, sources, ppp_c)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("regime", ["arbitrary", "ppp-merged"])
@@ -369,6 +392,24 @@ class TestUpdateMergedAndComposite:
         out = checked_update(d, Z, PointTargetModel(sensor), clutter, cfg)
         assert len(out.globals_) > 1
         assert_allclose(logsumexp(global_weights(out)), 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("regime", ["ppp-merged", "composite"])
+    def test_general_model_matches_brute_force(self, regime):
+        """The general model's new-track weight of a singleton cell folds in
+        the PPP clutter intensity (``_UpdateWorkspace._own_general``)."""
+        rng = np.random.default_rng(3)
+        region = Region((-5.0, -5.0), (15.0, 15.0))
+        cfg = FilterConfig(clutter_regime=regime, exhaustive_limit=10**9, gate=1e12)
+        for t in range(30):
+            d = _random_density(rng, int(rng.integers(0, 3)))
+            model = _random_model(rng, "general")
+            clutter = _random_clutter(rng, "ppp" if regime == "ppp-merged" else "composite", region)
+            Z = _random_scan(rng, d, int(rng.integers(1, 4)), region)
+            sources, ppp_c = ([], clutter) if regime == "ppp-merged" else (list(clutter.sources), clutter.ppp)
+            out = checked_update(d, Z, model, clutter, cfg)
+            want = brute_force_update(d, Z, model, sources, ppp_c)
+            ok, lines = compare_signatures(density_signature(out, d, len(sources)), want)
+            assert ok, (t, lines[:5])
 
     def test_composite_tracks_one_history_per_source(self):
         src = ClutterSource(np.array([5.0]), 0.8, 1.0, np.array([[1.0]]))

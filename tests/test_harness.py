@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 from conftest import checked_update
 from pmbm import harness
-from pmbm.clutter import ClutterSource, CompositeClutter, IidClusterClutter, PoissonClutter
+from pmbm.clutter import ClutterSource, CompositeClutter, IidClusterClutter, PoissonClutter, Region
 from pmbm.errors import ConfigurationError, NumericalError
 from pmbm.filtering import FilterConfig, initial_density, update
 from pmbm.harness import (
@@ -98,11 +98,20 @@ class TestScenarioConfig:
             {"steps": True},
             {"runs": True},
             {"seed": False},
+            # Only a YAML file was type-checked: the string failed in a
+            # comparison and the wrong lengths were taken.
+            {"detection": "0.9"},
+            {"birth_mean": (1.0, 2.0)},
+            {"region_lo": (0.0, 0.0, 0.0)},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(**kwargs)
+
+    def test_sequence_entries_become_floats(self):
+        cfg = ScenarioConfig(region_lo=[0, np.float64(1.5)])
+        assert cfg.region_lo == (0.0, 1.5) and all(type(v) is float for v in cfg.region_lo)
 
     def test_dict_round_trip(self):
         assert scenario_from_dict(scenario_to_dict(TINY)) == TINY
@@ -280,8 +289,8 @@ class TestFilterBank:
             filter_bank(ScenarioConfig(), ("a-pmbm", "gnn"))
 
     def test_non_integer_hypothesis_cap_rejected(self):
-        # The Python API takes the cap unchecked; the filter settings refuse
-        # it before any run starts, instead of a crash inside ``reduce``.
+        # The scenario refuses the cap before any run starts, instead of a
+        # crash inside ``reduce``.
         with pytest.raises(ConfigurationError, match="max_global_hyps"):
             filter_bank(ScenarioConfig(max_global_hyps=2.5))
 
@@ -463,6 +472,20 @@ class TestExperiment:
         assert rec.failed
         assert rec.error == "step 1: multi-source association spaces must fit the exhaustive limit"
 
+
+    @pytest.mark.parametrize("regime", ["arbitrary", "ppp-merged"])
+    def test_clutter_of_another_dimension_is_recorded(self, regime):
+        # numpy's broadcast ValueError escaped run_trial and ended the
+        # experiment.
+        cfg = replace(TINY, steps=2, runs=1)
+        cube = Region((0.0, 0.0, 0.0), (300.0, 300.0, 300.0))
+        spec = FilterSpec(
+            "cube", FilterConfig(clutter_regime=regime, max_global_hyps=5), PoissonClutter(2.0, cube)
+        )
+        scans = [np.array([[40.0, 40.0]])] * 2
+        rec = run_trial(cfg, spec, GroundTruth([], 2), scans, 0, assoc_seed=1)
+        assert rec.failed
+        assert rec.error == "step 1: measurements need width 3, got shape (1, 2)"
 
     def test_configuration_error_mid_run_is_recorded(self):
         class RefusesThreePoints:

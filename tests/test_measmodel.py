@@ -62,6 +62,11 @@ class TestExtendedModel:
         with pytest.raises(ConfigurationError):
             ExtendedTargetModel(scalar_model().sensor, 0.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_refused(self, rate):
+        with pytest.raises(ConfigurationError, match="rate must be finite"):
+            ExtendedTargetModel(scalar_model().sensor, rate)
+
     def test_vanishing_rate_limit(self):
         # pd=1 with rate near zero behaves like a sure miss-free empty scan
         model = ExtendedTargetModel(
@@ -109,6 +114,25 @@ class TestExtendedModel:
         sensor = LinearGaussianSensor(np.array([[1.0]]), np.array([[1.0]]), pd)
         eff = 1.0 - math.exp(ExtendedTargetModel(sensor, rate).log_f_empty())
         assert 0.0 <= eff <= 1.0
+
+
+PLANE_SENSOR = LinearGaussianSensor(np.eye(2), np.eye(2), 0.9)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda Z: PointTargetModel(PLANE_SENSOR).detection_update(GaussianDensity(np.zeros(2), np.eye(2)), Z),
+        lambda Z: ExtendedTargetModel(PLANE_SENSOR, 2.0).detection_update(GaussianDensity(np.zeros(2), np.eye(2)), Z),
+        lambda Z: extended_set_density(ExtendedTargetModel(PLANE_SENSOR, 2.0), Z, np.zeros(2)),
+    ],
+)
+@pytest.mark.parametrize("Z", [np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((1, 1, 2))])
+def test_measurements_of_another_width_refused(evaluate, Z):
+    # The point model took two 1-wide rows for a two-measurement set of
+    # density zero.
+    with pytest.raises(ConfigurationError, match="need width 2"):
+        evaluate(Z)
 
 
 def _prior():
