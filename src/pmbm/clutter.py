@@ -246,6 +246,9 @@ class CompositeClutter:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
+        width = self.ppp.region.dim
+        if any(clutter_width(s) not in (None, width) for s in self.sources):
+            raise ConfigurationError(f"clutter sources need the PPP region's width, {width}")
 
     def log_density(self, Z) -> float:
         """log c(Z): sum over all assignments of each z to the PPP or to one
@@ -288,6 +291,15 @@ class CompositeClutter:
         parts = [self.ppp.sample(rng)]
         parts += [s.sample(rng) for s in self.sources]
         return np.concatenate(parts, axis=0)
+
+
+def clutter_width(model):
+    """Measurement width of a clutter model: its (PPP) region's or source
+    location's, None for a model with neither."""
+    part = getattr(model, "ppp", model)
+    if hasattr(part, "region"):
+        return part.region.dim
+    return part.location.size if hasattr(part, "location") else None
 
 
 class ClutterCache:

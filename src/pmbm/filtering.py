@@ -20,12 +20,14 @@ weights, so what it cannot express (the general model, several clutter
 sources, a point hypothesis that cannot miss) is enumerated as labelings.
 Each generator enumerates when the product it walks is at most
 ``exhaustive_limit``; above it problems are Gibbs-sampled and labelings
-refused.  Each predicted local hypothesis (i, a) has one per-scan record,
-``_UpdateWorkspace.local(i, a)``: its miss factor and existence, the
+refused.  Each predicted local hypothesis (i, a) has one record per scan,
+``_UpdateWorkspace.rec[i][a]``: its miss factor and existence, the
 measurements it gates and, for the point model, its (measurement, eta)
-pairs, which the problem reads as they are.  Labelings, problems and
-hypothesis assembly all come from it.  A new track's weight is shared per
-scan; its posterior is built only for the cells some association uses.
+pairs, which the problem reads as they are.  One child rule builds each
+posterior local hypothesis, of a Bernoulli or a clutter tree, from a
+predicted one and its cell; each global hypothesis is built once, with
+its normalized weight.  A new track's weight is shared per scan; its
+posterior is built only for the cells some association uses.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .clutter import ClutterCache, CompositeClutter, PoissonClutter
+from .clutter import ClutterCache, CompositeClutter, PoissonClutter, clutter_width
 from .densities import (
     GaussianMixture,
     LinearGaussianMotion,
@@ -177,6 +179,9 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
     Z = as_scan(Z, model.sensor.meas_dim)
     if not np.isfinite(Z).all():
         raise ConfigurationError("scan holds a non-finite value")
+    width = clutter_width(clutter)
+    if width not in (None, Z.shape[1]):
+        raise ConfigurationError(f"measurements need width {width}, got shape {Z.shape}")
     n_src = len(sources)
     if n_src and not d.clutter_trees:
         # First update under a clutter-tree regime: one empty clutter tree
@@ -200,13 +205,13 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
     for g_idx, g in enumerate(d.globals_):
         if g.log_w == NEG_INF:
             continue
-        locs = [ws.local(i, a) for i, a in enumerate(g.berns)]
+        locs = [ws.rec[i][a] for i, a in enumerate(g.berns)]
         if ws.point and n_src <= 1 and all(loc[0] > NEG_INF for loc in locs):
             assoc.extend(_point_associations(ws, g, g_idx, locs, seed))
         else:
             assoc.extend(_enumerate_labelings(ws, g, g_idx, locs))
     if not assoc:
-        assoc = [_fallback_association(ws, d, n_src)]
+        assoc = [_fallback_association(ws)]
         warnings.warn("no association had positive weight; forced all-clutter fallback")
 
     return _assemble(ws, assoc)
@@ -228,8 +233,10 @@ def _subset_partitions(items: tuple, cap=None):
 class _UpdateWorkspace:
     """Per-scan records shared across predicted global hypotheses.
 
-    ``local(i, a)`` is the record of predicted local hypothesis (i, a),
-    ``det_info`` its detection factor per cell, and ``own_weight`` /
+    ``rec[i][a]``, built here for every predicted local hypothesis (i, a),
+    is (log miss factor, existence after a miss, ascending gated rows,
+    point-model (j, detection - miss) pairs with a finite detection factor).
+    ``det_info`` gives its detection factor per cell, ``own_weight`` /
     ``own_track`` the weight and posterior of a new track per cell.
     ``src[s]`` is the scan's only evaluator of clutter source s; every
     reader of c_s(cell) goes through it.  ``table`` holds the Gibbs
@@ -248,17 +255,29 @@ class _UpdateWorkspace:
         self.point = model.max_subset == 1
         self.log_f0 = model.log_f_empty()
         self.f0 = math.exp(self.log_f0) if self.log_f0 > NEG_INF else 0.0
-        self.log_lam = (
-            ppp_c.log_intensity(Z).tolist() if ppp_c is not None else None
-        )
-        self._local, self._det, self._own = {}, {}, {}
+        self.log_lam = ppp_c.log_intensity(Z).tolist() if ppp_c is not None else None
+        self._det, self._own = {}, {}
         self.src = [ClutterCache(c, Z) for c in sources]
         self.table = ConditionalTable(self.src[0] if self.src else None, self.m, self.n)
-        self._ppp_comps = [
-            (lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF
-        ]
+        self._ppp_comps = [(lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF]
         if self.point:
             self._precompute_own_point()
+        self.rec = []
+        for i, tree in enumerate(d.trees):
+            recs = []
+            for a, h in enumerate(tree.hyps):
+                fac = 1.0 - h.r + h.r * self.f0
+                log_miss = math.log(fac) if fac > 0.0 else NEG_INF
+                r_miss = h.r * self.f0 / fac if fac > 0.0 else 0.0
+                rows, eta = [], []
+                if h.r > 0.0 and self.m:
+                    mask = ellipsoidal_gate(h.density, model.sensor, Z, cfg.gate)
+                    rows = np.flatnonzero(mask).tolist()
+                if self.point:
+                    facs = [(j, self.det_info(i, a, (j,))[0]) for j in rows]
+                    eta = [(j, f - log_miss) for j, f in facs if f > NEG_INF]
+                recs.append((log_miss, r_miss, rows, eta))
+            self.rec.append(recs)
 
     def _precompute_own_point(self):
         """Point model: the new-track column ``own_col`` (log weight of the
@@ -280,29 +299,6 @@ class _UpdateWorkspace:
             self.own_col = [
                 float(np.logaddexp(lam, l)) for lam, l in zip(self.log_lam, self._own_l)
             ]
-
-    # -- per-tree factors ------------------------------------------------
-
-    def local(self, i, a):
-        """(log miss factor, existence after a miss, ascending gated rows,
-        point-model (j, detection - miss) pairs of the gated rows with a
-        finite detection factor) of predicted local hypothesis (i, a),
-        built once per scan."""
-        rec = self._local.get((i, a))
-        if rec is None:
-            h = self.d.trees[i].hyps[a]
-            fac = 1.0 - h.r + h.r * self.f0
-            log_miss = math.log(fac) if fac > 0.0 else NEG_INF
-            r_miss = h.r * self.f0 / fac if fac > 0.0 else 0.0
-            rows, eta = [], []
-            if h.r > 0.0 and self.m:
-                mask = ellipsoidal_gate(h.density, self.model.sensor, self.Z, self.cfg.gate)
-                rows = np.flatnonzero(mask).tolist()
-            if self.point:
-                facs = [(j, self.det_info(i, a, (j,))[0]) for j in rows]
-                eta = [(j, f - log_miss) for j, f in facs if f > NEG_INF]
-            rec = self._local[(i, a)] = (log_miss, r_miss, rows, eta)
-        return rec
 
     def det_info(self, i, a, cell):
         """Detection factor and posterior for tree i, hypothesis a and a cell
@@ -377,7 +373,7 @@ def _enumerate_labelings(ws, g, g_idx, locs):
     of 0-based measurement indices, ``detected`` the (tree, cell) pairs of
     the trees that detect, log_w the weight of ``g`` times the scan factor.
     """
-    n, n_src, cap = ws.n, len(ws.sources), ws.model.max_subset
+    n_src, cap = len(ws.sources), ws.model.max_subset
     # The gate only shortlists: ``assemble`` evaluates the factor of each full
     # cell and drops labelings whose weight is zero.
     options = [[("c", s) for s in range(n_src)] for _ in range(ws.m)]
@@ -418,11 +414,10 @@ def _enumerate_labelings(ws, g, g_idx, locs):
             if base == NEG_INF:
                 return
         detected = []
-        for i in range(n):
-            a = g.berns[i]
+        for i, a in enumerate(g.berns):
             cell = tuple(tree_cells.get(i, ()))
             if not cell:
-                base += ws.local(i, a)[0]
+                base += locs[i][0]
             else:
                 base += ws.det_info(i, a, cell)[0]
                 detected.append((i, cell))
@@ -469,19 +464,14 @@ def _point_associations(ws, g, g_idx, locs, seed):
         yield g_idx, src_cells, detected, own_cells, g.log_w + miss_base + lw
 
 
-def _fallback_association(ws, d, n_src):
+def _fallback_association(ws):
     """All measurements to clutter (or to their own tracks when there is no
     clutter tree), attached to the best predicted global hypothesis."""
+    d, all_j = ws.d, tuple(range(ws.m))
     g_idx = max(range(len(d.globals_)), key=lambda i: d.globals_[i].log_w)
-    m = ws.m
-    all_j = tuple(range(m))
-    if n_src:
-        src_cells = (all_j,) + ((),) * (n_src - 1)
-        own_cells = ()
-    else:
-        src_cells = ()
-        own_cells = tuple((j,) for j in range(m))
-    return (g_idx, src_cells, (), own_cells, 0.0)
+    if ws.sources:
+        return (g_idx, (all_j,) + ((),) * (len(ws.sources) - 1), (), (), 0.0)
+    return (g_idx, (), (), tuple((j,) for j in all_j), 0.0)
 
 
 def _assemble(ws, assoc):
@@ -502,72 +492,58 @@ def _assemble(ws, assoc):
 
     upd_trees = [BernoulliTree([], t.origin) for t in d.trees] + new_trees
     upd_ctrees = [ClutterTree([]) for _ in range(n_src)]
-    tree_child: dict = {}
-    src_child: dict = {}
+    children: dict = {}
 
-    def tree_hyp_index(i, a, cell):
-        key = (i, a, cell)
-        idx = tree_child.get(key)
+    def child(clutter, i, a, cell):
+        """Index of the child that local hypothesis a of predicted clutter
+        tree (``clutter``) or Bernoulli tree i gets when it takes ``cell``
+        (() is a miss), appended to the updated tree at its first use."""
+        key = (clutter, i, a, cell)
+        idx = children.get(key)
         if idx is not None:
             return idx
-        parent = d.trees[i].hyps[a]
-        if not cell:
-            log_miss, r_miss = ws.local(i, a)[:2]
-            dens = parent.density if r_miss > 0.0 else None
-            hyp = LocalHypothesis(parent.log_w + log_miss, r_miss, dens, parent.pairs, a)
-        else:
+        parent = (d.clutter_trees if clutter else d.trees)[i].hyps[a]
+        pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell} if cell else parent.pairs
+        if clutter:
+            hyp = ClutterLocalHypothesis(parent.log_w + ws.src[i](cell), pairs, a)
+        elif cell:
             fac, post = ws.det_info(i, a, cell)
-            pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell}
             hyp = LocalHypothesis(parent.log_w + fac, 1.0, post, pairs, a)
-        upd_trees[i].hyps.append(hyp)
-        idx = len(upd_trees[i].hyps) - 1
-        tree_child[key] = idx
-        return idx
-
-    def src_hyp_index(s, a, cell):
-        key = (s, a, cell)
-        idx = src_child.get(key)
-        if idx is not None:
-            return idx
-        parent = d.clutter_trees[s].hyps[a]
-        fac = ws.src[s](cell)
-        pairs = parent.pairs | {MeasurementPair(k, j + 1) for j in cell}
-        hyp = ClutterLocalHypothesis(parent.log_w + fac, pairs, a)
-        upd_ctrees[s].hyps.append(hyp)
-        idx = len(upd_ctrees[s].hyps) - 1
-        src_child[key] = idx
+        else:
+            log_miss, r_miss = ws.rec[i][a][:2]
+            dens = parent.density if r_miss > 0.0 else None
+            hyp = LocalHypothesis(parent.log_w + log_miss, r_miss, dens, pairs, a)
+        hyps = (upd_ctrees if clutter else upd_trees)[i].hyps
+        hyps.append(hyp)
+        idx = children[key] = len(hyps) - 1
         return idx
 
     # The associations of one predicted global hypothesis are adjacent.  At
     # its first, every tree none of them detects takes its miss child, once;
     # each association then patches only the trees some of them detect.
-    globals_ = []
+    selections = []  # (log_w, clutter selection, Bernoulli selection)
     for g_idx, items in itertools.groupby(assoc, key=lambda item: item[0]):
         items = list(items)
         g = d.globals_[g_idx]
         patched = {i for item in items for i, _ in item[2]}
         base = [0] * len(upd_trees)
         for i in set(range(n)) - patched:
-            base[i] = tree_hyp_index(i, g.berns[i], ())
+            base[i] = child(False, i, g.berns[i], ())
         for _, src_cells, detected, own_cells, log_w in items:
             clutter_sel = tuple(
-                src_hyp_index(s, g.clutter[s], src_cells[s]) for s in range(n_src)
+                child(True, s, g.clutter[s], src_cells[s]) for s in range(n_src)
             )
             bern_sel = list(base)
             cells = dict(detected)
             for i in patched:
-                bern_sel[i] = tree_hyp_index(i, g.berns[i], cells.get(i, ()))
+                bern_sel[i] = child(False, i, g.berns[i], cells.get(i, ()))
             for cell in own_cells:
                 bern_sel[own_index[cell]] = 1
-            globals_.append(GlobalHypothesis(log_w, clutter_sel, tuple(bern_sel)))
+            selections.append((log_w, clutter_sel, tuple(bern_sel)))
 
     # Every association has a finite weight (the fallback carries 0).
-    logs = np.array([g.log_w for g in globals_])
-    norm = logsumexp(logs)
-    globals_ = [
-        GlobalHypothesis(float(lw - norm), g.clutter, g.berns)
-        for lw, g in zip(logs, globals_)
-    ]
+    norm = logsumexp([sel[0] for sel in selections])
+    globals_ = [GlobalHypothesis(float(log_w - norm), c, b) for log_w, c, b in selections]
 
     universe = d.universe | {MeasurementPair(k, j + 1) for j in range(m)}
     return PmbmDensity(

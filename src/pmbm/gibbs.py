@@ -40,6 +40,7 @@ reads only that table.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -238,8 +239,8 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     per unique recorded vector in first-visit order: its unnormalized log
     weight and how many sweeps ended on it.
     """
-    if sweeps < 1:
-        raise ConfigurationError("sweeps must be >= 1")
+    if not isinstance(sweeps, numbers.Integral) or isinstance(sweeps, bool) or sweeps < 1:
+        raise ConfigurationError("sweeps must be an integer >= 1")
     m, n = p.m, p.n
     gamma = _start(p)
     if gamma is None:

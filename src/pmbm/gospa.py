@@ -19,9 +19,9 @@ class GospaConfig:
 
     def __post_init__(self):
         if not self.order >= 1.0:
-            raise ConfigurationError("order must be >= 1")
+            raise ConfigurationError("GOSPA order must be >= 1")
         if not self.cutoff > 0.0:
-            raise ConfigurationError("cutoff must be > 0")
+            raise ConfigurationError("GOSPA cutoff must be > 0")
         if self.alpha != 2.0:
             raise ConfigurationError("only alpha=2 supports this decomposition")
 

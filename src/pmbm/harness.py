@@ -59,13 +59,16 @@ _FILTER_TABLE = {
 }
 DEFAULT_FILTERS = ("a-pmbm", "a-pmb", "pmbm", "pmb")
 ALL_FILTERS = tuple(_FILTER_TABLE)
+_FILTER_SETTINGS = ("max_global_hyps", "mbm_prune", "ppp_prune", "bern_prune", "gate")
 OUTPUT_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All scenario and filter parameters for one experiment.  Each field
-    takes its default's type (``_fits``); sequence entries become floats."""
+    takes its default's type (``_fits``); sequence entries become floats.
+    The filter and GOSPA settings are checked by ``FilterConfig`` and
+    ``GospaConfig``, which own their rules and the filter defaults."""
 
     steps: int = 81
     dt: float = 1.0
@@ -85,13 +88,13 @@ class ScenarioConfig:
     runs: int = 20
     seed: int = 0
     truth_mode: str = "fixed"  # fixed | per-run
-    max_global_hyps: int = 500
-    mbm_prune: float = 1e-4
-    ppp_prune: float = 1e-5
-    bern_prune: float = 1e-5
-    gate: float = 20.0
-    gospa_order: float = 2.0
-    gospa_cutoff: float = 10.0
+    max_global_hyps: int = FilterConfig.max_global_hyps
+    mbm_prune: float = FilterConfig.mbm_prune
+    ppp_prune: float = FilterConfig.ppp_prune
+    bern_prune: float = FilterConfig.bern_prune
+    gate: float = FilterConfig.gate
+    gospa_order: float = GospaConfig.order
+    gospa_cutoff: float = GospaConfig.cutoff
     estimator: str = "map-cardinality"
     estimator_threshold: float = 0.4
 
@@ -127,6 +130,12 @@ class ScenarioConfig:
         for name in ("dt", "accel_noise", "meas_noise"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be > 0")
+        self.filter_config()
+        GospaConfig(self.gospa_order, self.gospa_cutoff)
+
+    def filter_config(self, **switches) -> FilterConfig:
+        """This scenario's filter settings with ``switches`` (mode, clutter_regime)."""
+        return FilterConfig(**{name: getattr(self, name) for name in _FILTER_SETTINGS}, **switches)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -224,22 +233,18 @@ class FilterSpec:
 
 
 def filter_bank(cfg: ScenarioConfig, names=DEFAULT_FILTERS) -> list[FilterSpec]:
-    base = dict(
-        max_global_hyps=cfg.max_global_hyps,
-        mbm_prune=cfg.mbm_prune,
-        ppp_prune=cfg.ppp_prune,
-        bern_prune=cfg.bern_prune,
-        gate=cfg.gate,
-    )
+    """One spec per filter name; each name at most once, at least one name."""
+    if not names:
+        raise ConfigurationError("no filter names given")
     out = []
     for name in names:
         if name not in _FILTER_TABLE:
             raise ConfigurationError(f"unknown filter name: {name}")
+        if any(spec.name == name for spec in out):
+            raise ConfigurationError(f"filter name listed twice: {name}")
         mode, regime = _FILTER_TABLE[name]
         clutter = merged_clutter(cfg) if regime == "ppp-merged" else clutter_model(cfg)
-        out.append(
-            FilterSpec(name, FilterConfig(mode=mode, clutter_regime=regime, **base), clutter)
-        )
+        out.append(FilterSpec(name, cfg.filter_config(mode=mode, clutter_regime=regime), clutter))
     return out
 
 

@@ -30,6 +30,15 @@ def test_unknown_filter_exits_two(tmp_path, capsys):
     assert "unknown filter: warp-drive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "filters, message", [("pmb,pmb", "filter name listed twice: pmb"), (",", "no filter names given")]
+)
+def test_repeated_or_missing_filter_exits_one(tmp_path, capsys, filters, message):
+    rc = main(["simulate", "--runs", "1", "--filters", filters, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_config_reports_cleanly(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
     assert rc == 1

@@ -267,6 +267,13 @@ class TestScanWidth:
         with pytest.raises(ConfigurationError, match="need width 2"):
             evaluate(np.full((2, width), 50.0))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_composite_source_of_another_width_refused(self, width):
+        # The composite was accepted and ran an update on an empty 2-D scan.
+        source = ClutterSource(np.full(width, 0.5), 0.5, 0.5, np.eye(width))
+        with pytest.raises(ConfigurationError, match="PPP region's width, 2"):
+            CompositeClutter(PoissonClutter(1.0, PLANE), (source,))
+
     @pytest.mark.parametrize("evaluate", EVALUATIONS)
     def test_empty_scan_of_any_shape_is_the_empty_set(self, evaluate):
         assert repr(evaluate(np.zeros(0))) == repr(evaluate(np.zeros((0, 2))))

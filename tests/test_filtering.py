@@ -231,6 +231,25 @@ class TestUpdateArbitrary:
         with pytest.raises(ConfigurationError, match="need width 2"):
             brute_force_update(ppp_only_density(), Z, model, sources, ppp_c)
 
+    SQUARE = Region((-1.0, -1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "regime, clutter",
+        [
+            ("arbitrary", PoissonClutter(2.0, SQUARE)),
+            ("ppp-merged", PoissonClutter(2.0, SQUARE)),
+            ("arbitrary", IidClusterClutter(PoissonCardinality(2.0), SQUARE)),
+            ("arbitrary", ClutterSource((0.0, 0.0), 0.5, 1.0, np.eye(2))),
+        ],
+    )
+    def test_clutter_of_another_dimension_rejected_on_an_empty_scan(self, regime, clutter):
+        # With no measurement to compare widths, a 2-D clutter model against
+        # a 1-D sensor was accepted and gave one global hypothesis.
+        model = PointTargetModel(scalar_sensor())
+        cfg = FilterConfig(clutter_regime=regime)
+        with pytest.raises(ConfigurationError, match=r"need width 2, got shape \(0, 1\)"):
+            update(ppp_only_density(), np.zeros((0, 1)), model, clutter, cfg)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("regime", ["arbitrary", "ppp-merged"])
     def test_non_finite_scan_rejected(self, regime, bad):

@@ -356,9 +356,11 @@ class TestRunGibbs:
         tv += 0.5 * sum(counts[g] / total for g in counts if g not in want)
         assert tv < 0.05
 
-    def test_invalid_sweep_count(self):
-        with pytest.raises(ConfigurationError):
-            run_gibbs(small_problem(1, 1), 0, np.random.default_rng(0))
+    # numpy raised its own TypeError for 2.5.
+    @pytest.mark.parametrize("sweeps", [0, 2.5, True])
+    def test_invalid_sweep_count(self, sweeps):
+        with pytest.raises(ConfigurationError, match="sweeps must be an integer >= 1"):
+            run_gibbs(small_problem(1, 1), sweeps, np.random.default_rng(0))
 
 
 def _problem_for_branch(branch, seed):

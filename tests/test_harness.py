@@ -103,6 +103,13 @@ class TestScenarioConfig:
             {"detection": "0.9"},
             {"birth_mean": (1.0, 2.0)},
             {"region_lo": (0.0, 0.0, 0.0)},
+            # Filter settings were refused only by filter_bank, GOSPA settings
+            # only in the first run, after the truth and scans were drawn.
+            {"gate": -1.0},
+            {"mbm_prune": 2.0},
+            {"max_global_hyps": 0},
+            {"gospa_order": 0.5},
+            {"gospa_cutoff": -1.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -287,6 +294,15 @@ class TestFilterBank:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             filter_bank(ScenarioConfig(), ("a-pmbm", "gnn"))
+
+    @pytest.mark.parametrize(
+        "names, message", [(("pmb", "pmb"), "filter name listed twice: pmb"), ((), "no filter names")]
+    )
+    def test_repeated_or_missing_name_rejected(self, names, message):
+        # A repeated name reported runs: 4 for two runs and overwrote
+        # per_run_rms; an empty list failed only in aggregation.
+        with pytest.raises(ConfigurationError, match=message):
+            experiment(replace(TINY, steps=3), names)
 
     def test_non_integer_hypothesis_cap_rejected(self):
         # The scenario refuses the cap before any run starts, instead of a
@@ -577,14 +593,15 @@ class TestFilterStep:
 
 @st.composite
 def edge_runs(draw):
-    """A short scenario with random detection, clutter and hypothesis cap,
-    and per-step scan kinds: sampled, empty, sampled plus a point outside
-    the region, or 80 uniform points."""
+    """A short scenario with random detection (certain and near-zero among
+    the draws), clutter and hypothesis cap, and per-step scan kinds:
+    sampled, empty, sampled plus a point outside the region, or 80 uniform
+    points."""
     cfg = replace(
         TINY,
         steps=4,
         runs=1,
-        detection=draw(st.floats(0.05, 0.99)),
+        detection=draw(st.floats(0.05, 0.99) | st.sampled_from([1.0, 1e-6])),
         clutter_family=draw(st.sampled_from(["nb", "poisson"])),
         clutter_mean=draw(st.floats(0.5, 20.0)),
         clutter_dispersion=draw(st.floats(1.5, 40.0)),
