@@ -309,7 +309,8 @@ class ClutterCache:
     distinct cell is evaluated once, so ``log_density`` must be a
     deterministic function of the measurement set.  The model's
     ``count_table(Z)``, when it has one, is stored as built; the cache never
-    inspects what it holds.
+    inspects what it holds.  Every association problem of the scan reads it;
+    ``rows`` and ``conditionals`` hold the scan's Gibbs conditionals.
     """
 
     def __init__(self, clutter, Z: np.ndarray):
@@ -318,6 +319,7 @@ class ClutterCache:
         self._memo: dict[tuple, float] = {}
         table = getattr(clutter, "count_table", None)
         self._table = table(Z) if table is not None else None
+        self.rows, self.conditionals = {}, {}  # the sampler's, see ``gibbs.run_gibbs``
 
     def __call__(self, cell: tuple) -> float:
         out = self._memo.get(cell)

@@ -41,7 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .clutter import ClutterCache, CompositeClutter, PoissonClutter, clutter_width
+from .clutter import ClutterCache, CompositeClutter, IidClusterClutter, PoissonCardinality, PoissonClutter
+from .clutter import clutter_width
 from .densities import (
     GaussianMixture,
     LinearGaussianMotion,
@@ -52,7 +53,7 @@ from .densities import (
     predicted_measurement_loglik,
 )
 from .errors import ConfigurationError, NumericalError, SizeLimitError
-from .gibbs import AssociationProblem, ConditionalTable, candidate_count, candidate_product, run_gibbs
+from .gibbs import AssociationProblem, candidate_count, candidate_product, run_gibbs
 from .hypotheses import (
     BernoulliTree,
     ClutterLocalHypothesis,
@@ -167,6 +168,8 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ConfigurationError("seed must be an integer >= 0")
     if cfg.clutter_regime == "arbitrary":
+        if not callable(getattr(clutter, "log_density", None)):
+            raise ConfigurationError("arbitrary regime needs a clutter model with log_density")
         sources, ppp_c = [clutter], None
     elif cfg.clutter_regime == "composite":
         if not isinstance(clutter, CompositeClutter):
@@ -239,8 +242,8 @@ class _UpdateWorkspace:
     ``det_info`` gives its detection factor per cell, ``own_weight`` /
     ``own_track`` the weight and posterior of a new track per cell.
     ``src[s]`` is the scan's only evaluator of clutter source s; every
-    reader of c_s(cell) goes through it.  ``table`` holds the Gibbs
-    conditionals every sampled problem of the scan shares.
+    reader of c_s(cell) goes through it.  Every point problem of the scan
+    shares ``cache``: ``src[0]``, else the empty clutter process.
     """
 
     def __init__(self, d, Z, model, sources, ppp_c, cfg, k):
@@ -258,7 +261,9 @@ class _UpdateWorkspace:
         self.log_lam = ppp_c.log_intensity(Z).tolist() if ppp_c is not None else None
         self._det, self._own = {}, {}
         self.src = [ClutterCache(c, Z) for c in sources]
-        self.table = ConditionalTable(self.src[0] if self.src else None, self.m, self.n)
+        self.cache = self.src[0] if self.src else ClutterCache(
+            IidClusterClutter(PoissonCardinality(0.0), ppp_c.region), Z
+        )
         self._ppp_comps = [(lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF]
         if self.point:
             self._precompute_own_point()
@@ -449,7 +454,7 @@ def _point_associations(ws, g, g_idx, locs, seed):
     miss_base = 0.0
     for loc in locs:
         miss_base += loc[0]
-    problem = AssociationProblem([loc[3] for loc in locs], ws.own_col, ws.table.cache, ws.table)
+    problem = AssociationProblem([loc[3] for loc in locs], ws.own_col, ws.cache)
     if candidate_count(problem) > ws.cfg.exhaustive_limit:
         w_norm = math.exp(min(g.log_w, 0.0))
         sweeps = max(1, math.ceil(ws.cfg.max_global_hyps * w_norm))
@@ -663,8 +668,8 @@ def estimate(d: PmbmDensity, method: str = "map-cardinality", threshold: float =
     w * prod(r in subset) * prod(1-r outside); the optimal subset per
     hypothesis keeps exactly the Bernoullis with r > 1/2.
     """
-    if not threshold >= 0.0:
-        raise ConfigurationError(f"existence threshold must be >= 0, got {threshold}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(f"existence threshold must be a probability, got {threshold}")
     if not d.globals_:
         return []
     if method == "existence-threshold":

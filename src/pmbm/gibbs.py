@@ -14,27 +14,27 @@ every row's candidates, when its size ``candidate_count`` fits the limit,
 and samples a larger one with the systematic-scan Gibbs sampler here.
 ``enumerate_associations`` normalizes the same product under a guard on
 the same count; it is the sampler's exact reference,
-which the oracle and the tests judge it against.  A problem with no clutter
-column (``cache=None``, the merged parameterization where the PPP clutter
-intensity is folded into the new-track weights) is the empty clutter
-process, c(∅) = 1 and c(Z ≠ ∅) = 0, and gets that count table, so the
-sampler runs it as any count table.
+which the oracle and the tests judge it against.
 
 One kernel, ``_candidates``, lists the values a coordinate may take with
 their log weights.  The sampler draws every coordinate from it, and
 ``gibbs_conditional``, which the oracle checks, normalizes its output, so
 the checked conditional is the one that runs, built once per scan and key.
 
-The sampler, the enumeration and the final weights read the clutter set
-density through one ``ClutterCache``, keyed by the sorted tuple of
-measurement indices left to clutter.  The filter update shares one cache
-per scan across all predicted global hypotheses, so ``log_density`` must be
-a deterministic function of the measurement set; it is evaluated at most
-once per distinct subset per scan.  A clutter model whose density depends
-on the clutter set only through its size inside a region
-(``IidClusterClutter``) provides ``count_table(Z)``; the cache stores it
-when it is built, so once per scan in the filter update, and the problem
-reads only that table.
+Every problem reads the clutter set density through one ``ClutterCache``,
+keyed by the sorted tuple of measurement indices left to clutter.  The
+filter update shares one cache per scan across all predicted global
+hypotheses, so ``log_density`` must be a deterministic function of the
+measurement set; it is evaluated at most once per distinct subset per
+scan.  A clutter model whose density depends on the clutter set only
+through its size inside a region (``IidClusterClutter``) provides
+``count_table(Z)``; the cache stores it when it is built, so once per scan
+in the filter update, and the problem reads only that table.  The merged
+parameterization, where the PPP clutter intensity is folded into the
+new-track weights, leaves the empty clutter process, c(∅) = 1 and
+c(Z ≠ ∅) = 0: zero-mean ``IidClusterClutter``, a count table like any
+other.  The cache also holds the sampler's conditionals, so the problems
+of one scan, whatever their tree count, build each one once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, product
 
 import numpy as np
@@ -58,19 +58,6 @@ _WINDOW = 128  # rows of uniforms whose leaves are listed at a time, bounding me
 
 
 @dataclass
-class ConditionalTable:
-    """The Gibbs conditionals of one scan (one clutter cache, m and n):
-    ``rows`` interns a row ``(j, candidates)`` as (signature, tree-bit mask),
-    ``memo`` maps (signature, clutter count, masked state) to a conditional."""
-
-    cache: ClutterCache | None
-    m: int
-    n: int
-    rows: dict = field(default_factory=dict)
-    memo: dict = field(default_factory=dict)
-
-
-@dataclass
 class AssociationProblem:
     """One scan's association inputs for one predicted global hypothesis.
 
@@ -80,31 +67,27 @@ class AssociationProblem:
     out, or given weight -inf, cannot take that value.
 
     ``cache`` is the scan's ``ClutterCache``; the filter update passes the
-    one it shares across the scan's predicted global hypotheses.  None means
-    there is no clutter column (the merged regime): the problem then holds
-    the count table of the empty clutter process, ``table[0] = 0`` and
-    ``-inf`` beyond.  ``_fast`` is the count table, or None when the
-    clutter density is opaque.  ``table`` holds the sampler's conditionals
-    (the update's per-scan table, or a fresh one); one of another scan is refused.
+    one it shares across the scan's predicted global hypotheses, and the
+    sampler keeps its conditionals there.  Without a clutter tree (the
+    merged regime) it holds the empty clutter process.  ``_fast`` is the
+    count table, or None when the clutter density is opaque.  A row has a
+    clutter option only when the density can be positive on a nonempty
+    set: an opaque one, or a count table finite past 0.
     """
 
     eta: list
     own: list
-    cache: ClutterCache | None = None
-    table: ConditionalTable | None = None
+    cache: ClutterCache
 
     def __post_init__(self):
         n, m = len(self.eta), len(self.own)
         self.n, self.m = n, m
-        if self.cache is not None and self.cache.Z.shape[0] != m:
+        if not isinstance(self.cache, ClutterCache):
+            raise ConfigurationError("an association problem needs a ClutterCache")
+        if self.cache.Z.shape[0] != m:
             raise ConfigurationError("clutter cache belongs to a scan of another size")
-        self.table = self.table or ConditionalTable(self.cache, m, n)
-        if self.table.cache is not self.cache or (self.table.m, self.table.n) != (m, n):
-            raise ConfigurationError("conditional table belongs to another scan")
-        if self.cache is None:
-            self._fast = [0.0] + [NEG_INF] * m, [True] * m
-        else:
-            self._fast = self.cache.count_table()
+        self._fast = self.cache.count_table()
+        self._clutter = self._fast is None or any(t > NEG_INF for t in self._fast[0][1:])
         # Each row's (value, eta) candidates by increasing value, and a lookup.
         self._row_cands = cands = [[] for _ in range(m)]
         last = [-1] * m
@@ -205,9 +188,9 @@ def _start(p: AssociationProblem):
     point outside the region makes its weight zero: the chain leaves it by
     itself.  With an opaque density, all-clutter if it has positive weight.
     Otherwise each measurement takes its own track, else its highest free
-    tree, else clutter, and None if that has zero weight too; a problem
-    without a clutter column so starts all-new-track whenever every own
-    weight is finite."""
+    tree, else clutter, and None if that has zero weight too; the empty
+    clutter process so starts all-new-track whenever every own weight is
+    finite."""
     m = p.m
     if p._fast is not None:
         table, inside = p._fast
@@ -230,8 +213,9 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     coordinates q = 1..m for ``sweeps`` rounds over one block of uniforms
     (position r·m + q) and records the state after every sweep.  A draw is
     ``bisect_right(cum, u * total)`` on the output of ``_candidates``, kept
-    in ``p.table`` under what it depends on: row q's candidates, which of
-    its trees the others take, and their clutter count or clutter set.
+    in ``p.cache.conditionals`` under what it depends on: row q, the tree
+    count and the row's candidates, which of its trees the others take, and
+    their clutter count or clutter set.
     Once every coordinate has drawn its value since the state last changed,
     the chain jumps between the draws that leave the state, listed once per
     window of rows, and credits the sweeps that end in between: the output
@@ -253,11 +237,12 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     allc = (1 << m) - 1
     state = sum(1 << (m + v if v else j) for j, v in enumerate(gamma) if v <= n)
     general = allc if p._fast is None else 0
-    rows, memo = p.table.rows, p.table.memo
+    rows, memo = p.cache.rows, p.cache.conditionals
     sigs = []
-    for row in enumerate(map(tuple, p._row_cands)):
+    for j, cands in enumerate(map(tuple, p._row_cands)):
+        row = j, n, cands
         if row not in rows:
-            rows[row] = len(rows), general | sum(1 << (m + v) for v, _ in row[1] if v <= n)
+            rows[row] = len(rows), general | sum(1 << (m + v) for v, _ in cands if v <= n)
         sigs.append(rows[row])
     drawn = [None] * m  # per coordinate: the conditional of its last draw
     kept = 0  # draws since the state last changed, that one included
@@ -322,9 +307,9 @@ def _leave_positions(block, r0: int, drawn, gamma) -> list:
 def candidate_product(p: AssociationProblem):
     """Every association vector of positive weight, with its unnormalized
     log weight (``assoc_log_weight``): the product of every row's candidates
-    (clutter first when there is a clutter column, then ``_row_cands``), the
-    first row outermost.  The caller bounds its size, ``candidate_count(p)``."""
-    head = [0] if p.cache is not None else []
+    (clutter first when rows have a clutter option, then ``_row_cands``),
+    the first row outermost.  The caller bounds its size, ``candidate_count(p)``."""
+    head = [0] if p._clutter else []
     for gamma in product(*[head + [v for v, _ in cands] for cands in p._row_cands]):
         w = assoc_log_weight(p, gamma)
         if w > NEG_INF:
@@ -333,8 +318,8 @@ def candidate_product(p: AssociationProblem):
 
 def candidate_count(p: AssociationProblem) -> int:
     """How many vectors ``candidate_product(p)`` walks: the product over rows
-    of their candidates, plus clutter when there is a clutter column."""
-    return math.prod(len(cands) + (p.cache is not None) for cands in p._row_cands)
+    of their candidates, plus clutter when rows have a clutter option."""
+    return math.prod(len(cands) + p._clutter for cands in p._row_cands)
 
 
 def enumerate_associations(p: AssociationProblem):

@@ -18,10 +18,10 @@ class GospaConfig:
     alpha: float = 2.0  # decomposition form requires 2
 
     def __post_init__(self):
-        if not self.order >= 1.0:
-            raise ConfigurationError("GOSPA order must be >= 1")
-        if not self.cutoff > 0.0:
-            raise ConfigurationError("GOSPA cutoff must be > 0")
+        if not 1.0 <= self.order < np.inf:
+            raise ConfigurationError("GOSPA order must be finite and >= 1")
+        if not 0.0 < self.cutoff < np.inf:
+            raise ConfigurationError("GOSPA cutoff must be finite and > 0")
         if self.alpha != 2.0:
             raise ConfigurationError("only alpha=2 supports this decomposition")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .clutter import (
     ClutterSource,
     CompositeClutter,
     IidClusterClutter,
+    PoissonCardinality,
     PoissonClutter,
     Region,
     nb_from_mean_dispersion,
@@ -437,7 +439,9 @@ def _random_scan(rng, d, m, region):
 
 
 def _seeded(seed):
-    """The generator of a check suite; a negative seed is refused."""
+    """The generator of a check suite, under ``update``'s seed rule."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -525,7 +529,7 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     """Sampler conditionals vs direct ratios (exact) and long-run visit
     frequencies vs exhaustive enumeration (total variation) on each sampler
     kind of problem: count table (NB), general (opaque Poisson density) and
-    merged (no clutter column, sampled as the empty clutter process)."""
+    merged (the empty clutter process, the merged regime's column)."""
     rng = _seeded(seed)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     fails = []
@@ -533,7 +537,8 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     def build_problem(clutter_kind, n, m):
         d = _random_density(rng, n)
         model = _random_model(rng, "point")
-        clutter = _random_clutter(rng, clutter_kind, region) if clutter_kind else None
+        empty = IidClusterClutter(PoissonCardinality(0.0), region)  # the merged regime's clutter
+        clutter = _random_clutter(rng, clutter_kind, region) if clutter_kind else empty
         Z = _random_scan(rng, d, m, region)
         g = d.globals_[0]
         log_f0 = model.log_f_empty()
@@ -546,7 +551,7 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
             eta.append([(j, math.log(h.r) + ll - math.log(miss)) for j, ll in enumerate(lls)])
         ppp = list(zip(d.ppp.log_w, d.ppp.comps))
         own = [float(logsumexp([lw + _set_loglik(model, z, c) for lw, c in ppp])) for z in Z[:, None]]
-        return AssociationProblem(eta, own, ClutterCache(clutter, Z) if clutter is not None else None)
+        return AssociationProblem(eta, own, ClutterCache(clutter, Z))
 
     # Conditionals: every candidate mass equals the normalized direct weight.
     for t in range(40):

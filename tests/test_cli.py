@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from pmbm import cli, harness
+from pmbm import cli, harness, oracle
 from pmbm.cli import main
-from pmbm.errors import NumericalError, SizeLimitError
+from pmbm.errors import ConfigurationError, NumericalError, SizeLimitError
 
 
 def test_counts_single_value(capsys):
@@ -106,6 +106,14 @@ def test_negative_seed_exits_one(tmp_path, capsys):
 def test_negative_oracle_seed_exits_one(capsys, check):
     assert main(["oracle", "--check", check, "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("check", ["update", "gibbs", "composite"])
+@pytest.mark.parametrize("seed", [True, 1.5])
+def test_non_integer_oracle_seed_refused(check, seed):
+    # The rule ``update`` applies: True is no seed 1, and 1.5 no numpy seed.
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+        getattr(oracle, f"check_{check}")(seed=seed)
 
 
 def test_bad_subcommand_raises_system_exit():

@@ -354,6 +354,14 @@ class TestUpdateMergedAndComposite:
         with pytest.raises(ConfigurationError):
             update(ppp_only_density(), np.zeros((0, 1)), PointTargetModel(scalar_sensor()), PoissonClutter(1.0, LINE), cfg)
 
+    @pytest.mark.parametrize("clutter", [None, "nb"])
+    def test_arbitrary_regime_requires_a_clutter_density(self, clutter):
+        cfg = FilterConfig(clutter_regime="arbitrary")
+        model = PointTargetModel(scalar_sensor())
+        for Z in (np.zeros((0, 1)), np.array([[0.5]])):
+            with pytest.raises(ConfigurationError, match="log_density"):
+                update(ppp_only_density(), Z, model, clutter, cfg)
+
     @pytest.mark.parametrize("regime", ["composite", "ppp-merged"])
     def test_clutter_tree_count_must_match_regime(self, regime):
         # One clutter tree, against the two a two-source composite needs and
@@ -1050,10 +1058,10 @@ class TestEstimate:
         with pytest.raises(ConfigurationError):
             estimate(estimate_fixture([0.6]), method="viterbi")
 
-    @pytest.mark.parametrize("threshold", [-0.5, math.nan])
+    @pytest.mark.parametrize("threshold", [-0.5, math.nan, 1.5])
     def test_negative_threshold_rejected(self, threshold):
         # A negative threshold would report the mean of a hypothesis with
-        # r = 0, which has no density.
+        # r = 0, which has no density; one above 1 would report nothing.
         d = estimate_fixture([0.6, 0.0])
         with pytest.raises(ConfigurationError, match="threshold"):
             estimate(d, method="existence-threshold", threshold=threshold)

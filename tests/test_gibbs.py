@@ -36,7 +36,6 @@ from pmbm.densities import (
 from pmbm.filtering import FilterConfig, initial_density, predict, reduce, update
 from pmbm.gibbs import (
     AssociationProblem,
-    ConditionalTable,
     _candidates,
     _start,
     assoc_log_weight,
@@ -51,12 +50,22 @@ NEG_INF = float("-inf")
 REGION10 = Region((0.0, 0.0), (10.0, 10.0))
 
 
+def empty_clutter(width=1):
+    """The merged regime's clutter column: the empty clutter process."""
+    return IidClusterClutter(PoissonCardinality(0.0), Region((0.0,) * width, (10.0,) * width))
+
+
+def empty_cache(m):
+    """The empty clutter process on a one-dimensional scan of m points."""
+    return ClutterCache(empty_clutter(), np.full((m, 1), 5.0))
+
+
 def make_problem(table, own, clutter, Z):
     """Problem from an (m, n) table of tree log etas (-inf: not gated), the
     m new-track log weights, a clutter model (None: merged) and the scan."""
     eta = [list(enumerate(col)) for col in np.asarray(table, dtype=float).T.tolist()]
-    cache = ClutterCache(clutter, np.asarray(Z, dtype=float)) if clutter is not None else None
-    return AssociationProblem(eta, list(own), cache)
+    Z = np.asarray(Z, dtype=float)
+    return AssociationProblem(eta, list(own), ClutterCache(clutter or empty_clutter(Z.shape[1]), Z))
 
 
 def small_problem(n=1, m=2, seed=0, clutter=True, region_side=10.0):
@@ -243,12 +252,12 @@ class TestProblemInput:
     @pytest.mark.parametrize("j", [2, -1])
     def test_row_outside_scan_rejected(self, j):
         with pytest.raises(ConfigurationError, match="outside the scan"):
-            AssociationProblem([[(0, 0.1)], [(j, 0.2)]], [0.0, 0.0])
+            AssociationProblem([[(0, 0.1)], [(j, 0.2)]], [0.0, 0.0], empty_cache(2))
 
     def test_row_listed_twice_by_one_tree_rejected(self):
         with pytest.raises(ConfigurationError, match="twice"):
-            AssociationProblem([[(0, NEG_INF), (1, 0.3), (0, 0.2)]], [0.0, 0.0])
-        shared = AssociationProblem([[(0, 0.1)], [(0, 0.2)]], [0.0, 0.0])
+            AssociationProblem([[(0, NEG_INF), (1, 0.3), (0, 0.2)]], [0.0, 0.0], empty_cache(2))
+        shared = AssociationProblem([[(0, 0.1)], [(0, 0.2)]], [0.0, 0.0], empty_cache(2))
         assert shared._row_cands[0] == [(1, 0.1), (2, 0.2), (3, 0.0)]
 
     def test_new_track_explains_only_its_own_measurement(self):
@@ -258,7 +267,7 @@ class TestProblemInput:
         assert gibbs_conditional(p, [0, 0], 0)[3] == 0.0
 
     def test_unlisted_and_zero_weight_entries_are_absent(self):
-        p = AssociationProblem([[(1, NEG_INF)], []], [0.25, 0.5])
+        p = AssociationProblem([[(1, NEG_INF)], []], [0.25, 0.5], empty_cache(2))
         assert p._row_cands == [[(3, 0.25)], [(4, 0.5)]]
         assert assoc_log_weight(p, (3, 1)) == NEG_INF
         assert assoc_log_weight(p, (3, 4)) == 0.75
@@ -295,11 +304,25 @@ class TestEnumerate:
             positive = [v for v in gamma if v > 0]
             assert len(positive) == len(set(positive))
 
+    @pytest.mark.parametrize(
+        "card, options",
+        [(PoissonCardinality(0.0), 2), (NegBinomialCardinality(1.0, 1.0), 2), (PoissonCardinality(1.0), 3)],
+    )
+    def test_clutter_option_only_where_a_nonempty_set_has_mass(self, card, options):
+        # A count table with no finite entry past 0, like the merged
+        # regime's empty clutter process, adds no clutter option.
+        clutter = IidClusterClutter(card, Region((0.0,), (10.0,)))
+        p = make_problem([[0.3], [0.1], [-0.2]], [0.2, -0.1, 0.4], clutter, [[4.5], [5.5], [6.0]])
+        assert gibbs.candidate_count(p) == options**3
+        assert [g for g, _ in gibbs.candidate_product(p)] == enumerate_associations(p)[0]
+        merged = make_problem([[0.3], [0.1], [-0.2]], [0.2, -0.1, 0.4], None, [[4.5], [5.5], [6.0]])
+        assert gibbs.candidate_count(merged) == 2**3
+
     def test_guard_reads_the_candidate_product(self):
         # Three trees and an own track on each of 10 rows, no clutter column:
         # 4**10 candidate vectors, past the guard.
         assert 4**10 > gibbs._ENUM_GUARD
-        wide = AssociationProblem([[(j, 0.0) for j in range(10)]] * 3, [0.0] * 10)
+        wide = AssociationProblem([[(j, 0.0) for j in range(10)]] * 3, [0.0] * 10, empty_cache(10))
         with pytest.raises(SizeLimitError, match=str(4**10)):
             enumerate_associations(wide)
         # 30 rows that only clutter can take: one vector, however large m.
@@ -408,9 +431,9 @@ class TestSamplerRunsCheckedConditional:
     def test_sweeps_replay_through_conditional(self, branch, seed):
         p = _problem_for_branch(branch, seed)
         assert (p._fast is None) == (branch == "general")
-        assert (p.cache is None) == (branch == "merged")
+        assert p._clutter == (branch != "merged")
         if branch == "merged":
-            # No clutter column: the count table of the empty clutter process.
+            # The count table of the empty clutter process.
             assert p._fast == ([0.0] + [NEG_INF] * p.m, [True] * p.m)
         got = [g for g, _, _ in run_gibbs(p, 40, np.random.default_rng(seed))]
         assert len(got) > 1
@@ -579,7 +602,7 @@ class TestLeaveJumps:
         # weights stay at 1.0 while their exact sum is 1 + 2**-52, so the
         # largest uniform draws past the last cumulative weight, into the
         # appended slot, and takes the own track (value 3).
-        p = AssociationProblem([[(0, 0.0)], [(0, math.log(1e-16))]], [math.log(1e-16)])
+        p = AssociationProblem([[(0, 0.0)], [(0, math.log(1e-16))]], [math.log(1e-16)], empty_cache(1))
         weights = [1.0, math.exp(math.log(1e-16)), math.exp(math.log(1e-16))]
         top_u = np.nextafter(1.0, 0.0)
         assert list(accumulate(weights)) == [1.0] * 3 and top_u * math.fsum(weights) >= 1.0
@@ -638,36 +661,50 @@ def _captured_updates(regime, monkeypatch):
     return calls
 
 
-class TestSharedTable:
+class TestSharedCache:
     @pytest.mark.parametrize("regime", ["arbitrary", "ppp-merged", "composite"])
-    def test_problems_of_one_update_share_a_table(self, regime, monkeypatch):
+    def test_problems_of_one_update_share_a_cache(self, regime, monkeypatch):
         updates = _captured_updates(regime, monkeypatch)
         assert max(len(calls) for calls in updates) > 1
         for calls in updates:
-            assert len({id(p.table) for p, _, _, _ in calls}) <= 1
+            assert len({id(p.cache) for p, _, _, _ in calls}) <= 1
             for p, sweeps, rng, out in calls:
-                fresh = AssociationProblem(p.eta, p.own, p.cache)
-                assert fresh.table is not p.table
+                fresh = AssociationProblem(p.eta, p.own, ClutterCache(p.cache.clutter, p.cache.Z))
+                assert not fresh.cache.conditionals
                 assert run_gibbs(fresh, sweeps, copy.deepcopy(rng)) == out
                 assert _reference_run_gibbs(p, sweeps, copy.deepcopy(rng)) == out
 
-    def test_table_of_another_scan_refused(self):
-        p = small_problem(n=2, m=3, seed=1)
-        shared = AssociationProblem(p.eta, p.own, p.cache, p.table)
-        assert shared.table is p.table
-        other = small_problem(n=2, m=3, seed=2)
-        with pytest.raises(ConfigurationError, match="another scan"):
-            AssociationProblem(p.eta, p.own, p.cache, other.table)
-        with pytest.raises(ConfigurationError, match="another scan"):
-            AssociationProblem(p.eta[:1], p.own, p.cache, p.table)
-        with pytest.raises(ConfigurationError, match="another scan"):
-            AssociationProblem(p.eta, p.own, None, ConditionalTable(None, 2, 2))
+    @pytest.mark.parametrize(
+        "clutter",
+        [None, IidClusterClutter(PoissonCardinality(1.0), Region((0.0,), (10.0,)))],
+        ids=["merged", "count-table"],
+    )
+    def test_problems_of_another_tree_count_share_a_cache(self, clutter):
+        # Row 0 lists the same (value, weight) candidates in both problems:
+        # value 2 is the narrow problem's own track and the wide problem's
+        # second tree, which row 1 can take too.  Keyed on the tree count,
+        # the shared conditionals keep the two rows apart.
+        narrow = make_problem([[0.3], [NEG_INF]], [0.5, 0.2], clutter, [[4.0], [6.0]])
+        shared = narrow.cache
+        wide = AssociationProblem([[(0, 0.3)], [(0, 0.5), (1, 0.4)]], [NEG_INF, 0.2], shared)
+        assert narrow._row_cands[0] == wide._row_cands[0] == [(1, 0.3), (2, 0.5)]
+        for p in (narrow, wide):
+            fresh = AssociationProblem(p.eta, p.own, ClutterCache(shared.clutter, shared.Z))
+            for seed in range(5):
+                got = run_gibbs(p, 40, np.random.default_rng(seed))
+                assert got == run_gibbs(fresh, 40, np.random.default_rng(seed))
+                assert got == _reference_run_gibbs(p, 40, np.random.default_rng(seed))
+        assert {n for _, n, _ in shared.rows} == {1, 2}
+
+    def test_missing_cache_refused(self):
+        p = small_problem(n=1, m=2)
+        with pytest.raises(ConfigurationError, match="ClutterCache"):
+            AssociationProblem(p.eta, p.own, None)
 
 
 def _brute_force(p):
     """Every vector of range(n+m+1)^m in lexicographic order with its raw
-    log weight, read from ``p.eta``, ``p.own`` and the clutter model alone;
-    a problem without a clutter column takes no clutter."""
+    log weight, read from ``p.eta``, ``p.own`` and the clutter model alone."""
     n, m = p.n, p.m
     eta = [dict(pairs) for pairs in p.eta]
     clutter = {}
@@ -685,12 +722,9 @@ def _brute_force(p):
             elif v:
                 w = NEG_INF
         cell = tuple(j for j, v in enumerate(gamma) if v == 0)
-        if p.cache is None:
-            w += NEG_INF if cell else 0.0
-        else:
-            if cell not in clutter:
-                clutter[cell] = p.cache.clutter.log_density(p.cache.Z[list(cell)])
-            w += clutter[cell]
+        if cell not in clutter:
+            clutter[cell] = p.cache.clutter.log_density(p.cache.Z[list(cell)])
+        w += clutter[cell]
         out.append((gamma, w))
     return out
 

@@ -87,10 +87,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             GospaConfig(cutoff=0.0)
 
-    @pytest.mark.parametrize("field", ["order", "cutoff"])
-    def test_nan_setting_rejected(self, field):
-        with pytest.raises(ConfigurationError):
-            GospaConfig(**{field: math.nan})
+    @pytest.mark.parametrize(
+        "field, value",
+        [("order", math.nan), ("cutoff", math.nan), ("order", math.inf), ("cutoff", math.inf)],
+        ids=["order", "cutoff", "order-inf", "cutoff-inf"],
+    )
+    def test_nan_setting_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            GospaConfig(**{field: value})
 
     def test_unsupported_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
