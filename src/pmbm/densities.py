@@ -11,12 +11,23 @@ positive definite raises :class:`~pmbm.errors.NumericalError`, as does a
 singular innovation covariance.  Updates use the Joseph form and
 re-symmetrize.
 
-Memo contract: a density is immutable (its arrays are read-only), so its
-innovation against a sensor (H m, the Cholesky factor of S = H P H' + R and
-log|S|, then the gain and posterior covariance) is computed once and reused
-by the gate, the likelihoods and every measurement update, as long as the
-same sensor object asks next.  The density's own Cholesky factor, used by
-``gaussian_logpdf``, is kept the same way, or from validation.
+Stacks: ``kalman_predict``, ``ellipsoidal_gate`` and
+``predicted_measurement_loglik`` take one density or a sequence and return
+one row per density; ``kalman_update_gated`` updates the pairs a gate
+marks.  A sequence is one stack, computed with batched array operations and
+one LAPACK factor or solve per density, so each row equals what the kernel
+gives for that density alone.
+
+Memo contract: a density is immutable (its arrays are read-only), so the
+innovation stack of a sequence against a sensor (H m, the Cholesky factor
+of S = H P H' + R and log|S|) is built once, with S factored once per
+density, and kept on each density.  The gate, the likelihoods and every
+update that follow reuse it while the same sensor object asks and the
+densities they ask for lie in one stack; the distances to the last scan are
+kept with it, so a scan's gate and likelihoods solve once.  A row's gain and
+posterior covariance are built on its first update, for the rows asked
+only.  The density's own Cholesky factor, used by ``gaussian_logpdf``, is
+kept the same way, or from validation.
 """
 
 from __future__ import annotations
@@ -65,7 +76,8 @@ def _check_symmetric(cov: np.ndarray, what: str) -> None:
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
-    return 0.5 * (cov + cov.T)
+    """0.5 (P + P') of one matrix or of each of a stack."""
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def _factor(a: np.ndarray):
@@ -137,9 +149,23 @@ def _own_factor(d: GaussianDensity):
 
 
 def _check_pd(cov: np.ndarray, what: str) -> None:
-    """The one Cholesky check an internal covariance gets."""
-    if dpotrf(cov, lower=1, clean=0)[1] != 0:
-        raise NumericalError(f"{what} is not positive definite")
+    """The one Cholesky check each internal covariance of ``cov``, one
+    (d, d) or a stack (N, d, d), gets."""
+    if cov.ndim == 2:
+        if dpotrf(cov, lower=1, clean=0)[1] != 0:
+            raise NumericalError(f"{what} is not positive definite")
+        return
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{what} is not positive definite") from None
+
+
+def _stack(arrays) -> np.ndarray:
+    try:
+        return np.stack(arrays)
+    except ValueError:
+        raise ConfigurationError("densities in one stack need one state width") from None
 
 
 @dataclass(frozen=True)
@@ -188,42 +214,99 @@ class LinearGaussianSensor:
         return self.H.shape[0]
 
 
-def kalman_predict(d: GaussianDensity, motion: LinearGaussianMotion) -> GaussianDensity:
-    if motion.F.shape[1] != d.dim:
+def _densities(dens) -> tuple[list, bool]:
+    """A kernel's argument, one density or a sequence, as a list, and
+    whether it was one density."""
+    if isinstance(dens, GaussianDensity):
+        return [dens], True
+    return list(dens), False
+
+
+def kalman_predict(dens, motion: LinearGaussianMotion):
+    """Prediction of one density, or of a sequence as one stack (a list of
+    predictions back)."""
+    seq, one = _densities(dens)
+    if not seq:
+        return []
+    means, covs = _stack([d.mean for d in seq]), _stack([d.cov for d in seq])
+    if motion.F.shape[1] != means.shape[1]:
         raise ConfigurationError("motion model dimension does not match state")
-    mean = motion.F @ d.mean
-    cov = symmetrize(motion.F @ d.cov @ motion.F.T + motion.Q)
+    mean = (motion.F @ means[:, :, None])[:, :, 0]
+    cov = symmetrize(motion.F @ covs @ motion.F.T + motion.Q)
     _check_pd(cov, "predicted covariance")
-    return GaussianDensity._trusted(mean, cov)
+    out = [GaussianDensity._trusted(mean[n], cov[n]) for n in range(len(seq))]
+    return out[0] if one else out
 
 
 @dataclass(slots=True)
-class _Innovation:
-    """One density's innovation against one sensor: H m, the lower Cholesky
-    factor of S = H P H' + R and log|S|.  The gain K and the posterior
-    covariance P⁺ are built on the first measurement update."""
+class _Innovations:
+    """The innovations of a stack of N densities against one sensor: H m
+    (N, dz), the lower Cholesky factor of each S = H P H' + R (as ``dpotrf``
+    returns it) and log|S| (N,).  A row's gain K and posterior covariance P⁺
+    are built on its first measurement update; ``built`` marks those rows.
+    ``maha`` (N, m) holds the squared Mahalanobis innovation distances of
+    the rows of the last scan measured, a copy of which ``scan`` keeps."""
 
     sensor: LinearGaussianSensor
+    means: np.ndarray
+    covs: np.ndarray
     Hm: np.ndarray
-    chol: np.ndarray
-    log_det: float
-    K: np.ndarray | None = None
-    post_cov: np.ndarray | None = None
+    chol: list
+    log_det: np.ndarray
+    K: np.ndarray
+    post_cov: np.ndarray
+    built: np.ndarray
+    scan: np.ndarray | None = None
+    maha: np.ndarray | None = None
 
 
-def _innovation(d: GaussianDensity, sensor: LinearGaussianSensor) -> _Innovation:
-    rec = d._innov
-    if rec is not None and rec.sensor is sensor:
-        return rec
-    if sensor.H.shape[1] != d.dim:
+def _innovations(seq: list, sensor: LinearGaussianSensor) -> tuple[_Innovations, list]:
+    """The innovation stack of the densities ``seq`` and each one's row in
+    it.  The stack that last covered all of them is reused; otherwise one
+    is built over ``seq``, each S factored once, and kept on each density."""
+    memo = [d._innov for d in seq]
+    if all(m is not None and m[0] is memo[0][0] for m in memo) and memo[0][0].sensor is sensor:
+        return memo[0][0], [m[1] for m in memo]
+    H = sensor.H
+    means, covs = _stack([d.mean for d in seq]), _stack([d.cov for d in seq])
+    if H.shape[1] != means.shape[1]:
         raise ConfigurationError("sensor model dimension does not match state")
-    S = symmetrize(sensor.H @ d.cov @ sensor.H.T + sensor.R)
-    fac = _factor(S)
-    if fac is None:
-        raise NumericalError(f"singular innovation covariance: {S!r}")
-    rec = _Innovation(sensor, sensor.H @ d.mean, *fac)
-    object.__setattr__(d, "_innov", rec)
-    return rec
+    chol = []
+    for S in symmetrize(H @ covs @ H.T + sensor.R):
+        c, info = dpotrf(S, lower=1, clean=0)
+        if info != 0:
+            raise NumericalError("singular innovation covariance")
+        chol.append(c)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(np.stack(chol), axis1=1, axis2=2)), axis=1)
+    if not np.isfinite(log_det).all():
+        raise NumericalError("singular innovation covariance")
+    n, dx, dz = len(seq), H.shape[1], H.shape[0]
+    Hm = (H @ means[:, :, None])[:, :, 0]
+    stack = _Innovations(
+        sensor, means, covs, Hm, chol, log_det,
+        np.empty((n, dx, dz)), np.empty((n, dx, dx)), np.zeros(n, dtype=bool),
+    )
+    for row, d in enumerate(seq):
+        object.__setattr__(d, "_innov", (stack, row))
+    return stack, list(range(n))
+
+
+def _posterior(stack: _Innovations, rows) -> None:
+    """Build the gain K = P H' S⁻¹ and the Joseph-form posterior covariance
+    of each of ``rows`` that lacks them, as one stack with one Cholesky
+    check of the new covariances."""
+    todo = sorted({n for n in rows if not stack.built[n]})
+    if not todo:
+        return
+    H, R = stack.sensor.H, stack.sensor.R
+    for n, HP in zip(todo, H @ stack.covs[todo]):
+        stack.K[n] = _solve(stack.chol[n], HP).T
+    K = stack.K[todo]
+    I_KH = np.eye(H.shape[1]) - K @ H
+    cov = symmetrize(I_KH @ stack.covs[todo] @ I_KH.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2))
+    _check_pd(cov, "posterior covariance")
+    stack.post_cov[todo] = cov
+    stack.built[todo] = True
 
 
 def kalman_update(
@@ -234,47 +317,66 @@ def kalman_update(
     z = np.asarray(z, dtype=float)
     if z.shape != (sensor.meas_dim,):
         raise ConfigurationError("measurement dimension does not match sensor")
-    rec = _innovation(d, sensor)
-    if rec.post_cov is None:
-        # K = P H' S^-1 via the Cholesky factor of S
-        K = _solve(rec.chol, sensor.H @ d.cov).T
-        I_KH = np.eye(d.dim) - K @ sensor.H
-        cov = symmetrize(I_KH @ d.cov @ I_KH.T + K @ sensor.R @ K.T)
-        _check_pd(cov, "posterior covariance")
-        cov.setflags(write=False)
-        rec.K, rec.post_cov = K, cov
-    nu = z - rec.Hm
-    mean = d.mean + rec.K @ nu
-    maha = float(nu @ _solve(rec.chol, nu))
-    log_lik = -0.5 * (maha + rec.log_det + z.size * _LOG_2PI)
-    return GaussianDensity._trusted(mean, rec.post_cov), log_lik
+    stack, (row,) = _innovations([d], sensor)
+    _posterior(stack, (row,))
+    nu = z - stack.Hm[row]
+    mean = d.mean + stack.K[row] @ nu
+    maha = float(nu @ _solve(stack.chol[row], nu))
+    log_lik = -0.5 * (maha + stack.log_det[row] + z.size * _LOG_2PI)
+    return GaussianDensity._trusted(mean, stack.post_cov[row]), float(log_lik)
 
 
-def _innovation_maha(rec: _Innovation, Z: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis innovation distance of each row of Z."""
-    nu = Z - rec.Hm
-    return np.einsum("ij,ij->i", nu, _solve(rec.chol, nu.T).T)
+def kalman_update_gated(dens, sensor: LinearGaussianSensor, Z: np.ndarray, mask: np.ndarray):
+    """Measurement updates of each pair (n, j) that ``mask`` (N, m) marks,
+    for a sequence of N densities and the rows of Z, as one stack: the
+    pairs' posterior means (P, d) in row-major pair order, and the
+    posterior covariances (N, d, d), built only for rows with a pair."""
+    Z, seq = as_scan(Z, sensor.meas_dim), list(dens)
+    if not seq:
+        dx = sensor.H.shape[1]
+        return np.zeros((0, dx)), np.zeros((0, dx, dx))
+    stack, rows = _innovations(seq, sensor)
+    pn, pj = np.nonzero(mask)
+    at = np.asarray(rows)[pn]
+    _posterior(stack, at.tolist())
+    nu = Z[pj] - stack.Hm[at]
+    means = stack.means[at] + (stack.K[at] @ nu[:, :, None])[:, :, 0]
+    return means, stack.post_cov[rows]
 
 
-def predicted_measurement_loglik(
-    d: GaussianDensity, sensor: LinearGaussianSensor, Z: np.ndarray
-) -> np.ndarray:
-    """log N(z; H m, S) for each row z of Z, without forming posteriors."""
+def _scan_pass(dens, sensor: LinearGaussianSensor, Z):
+    """Squared Mahalanobis innovation distances (N, m) of the rows of Z for
+    the N densities ``dens``, their log|S| (N,) and whether ``dens`` was one
+    density.  The distances take one triangular solve per density of the
+    stack and are kept with it for the next kernel that reads the same Z."""
     Z = as_scan(Z, sensor.meas_dim)
-    rec = _innovation(d, sensor)
-    maha = _innovation_maha(rec, Z)
-    return -0.5 * (maha + rec.log_det + Z.shape[1] * _LOG_2PI)
+    seq, one = _densities(dens)
+    if not seq:
+        return np.zeros((0, Z.shape[0])), np.zeros(0), one
+    stack, rows = _innovations(seq, sensor)
+    if stack.scan is None or not np.array_equal(stack.scan, Z):
+        nu = Z - stack.Hm[:, None, :]
+        sol = np.empty_like(nu)
+        for n, c in enumerate(stack.chol if Z.shape[0] else ()):
+            sol[n] = _solve(c, nu[n].T).T
+        stack.scan, stack.maha = Z.copy(), np.einsum("nij,nij->ni", nu, sol)
+    return stack.maha[rows], stack.log_det[rows], one
 
 
-def ellipsoidal_gate(
-    d: GaussianDensity, sensor: LinearGaussianSensor, Z: np.ndarray, gamma: float
-) -> np.ndarray:
+def predicted_measurement_loglik(dens, sensor: LinearGaussianSensor, Z: np.ndarray) -> np.ndarray:
+    """log N(z; H m, S) for each row z of Z, without forming posteriors: an
+    (m,) row for one density, an (N, m) array for a sequence of N."""
+    maha, log_det, one = _scan_pass(dens, sensor, Z)
+    out = -0.5 * (maha + log_det[:, None] + sensor.meas_dim * _LOG_2PI)
+    return out[0] if one else out
+
+
+def ellipsoidal_gate(dens, sensor: LinearGaussianSensor, Z: np.ndarray, gamma: float) -> np.ndarray:
     """Boolean mask of rows of Z whose squared Mahalanobis innovation
-    distance is below the gate threshold."""
-    Z = as_scan(Z, sensor.meas_dim)
-    if Z.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    return _innovation_maha(_innovation(d, sensor), Z) <= gamma
+    distance is below the gate threshold: an (m,) row for one density, an
+    (N, m) array for a sequence of N."""
+    maha, _, one = _scan_pass(dens, sensor, Z)
+    return maha[0] <= gamma if one else maha <= gamma
 
 
 def gaussian_logpdf(x: np.ndarray, d: GaussianDensity) -> float:

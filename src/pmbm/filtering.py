@@ -23,11 +23,16 @@ Each generator enumerates when the product it walks is at most
 refused.  Each predicted local hypothesis (i, a) has one record per scan,
 ``_UpdateWorkspace.rec[i][a]``: its miss factor and existence, the
 measurements it gates and, for the point model, its (measurement, eta)
-pairs, which the problem reads as they are.  One child rule builds each
-posterior local hypothesis, of a Bernoulli or a clutter tree, from a
-predicted one and its cell; each global hypothesis is built once, with
-its normalized weight.  A new track's weight is shared per scan; its
-posterior is built only for the cells some association uses.
+pairs, which the problem reads as they are.  The records come from one
+detection pass over the scan: every (i, a) that can exist is one stack,
+with S factored once per density per scan, so one gate call and one
+likelihood call score them all, and the point model's posteriors of every
+gated pair are computed as one stack.  ``predict`` moves the PPP components
+and every surviving hypothesis as one stack too.  One child rule builds
+each posterior local hypothesis, of a Bernoulli or a clutter tree, from a
+predicted one and its cell; each global hypothesis is built once, with its
+normalized weight.  A posterior density, of a detected track or of a new
+track, is built only for the cells some association uses.
 """
 
 from __future__ import annotations
@@ -44,11 +49,13 @@ from scipy.special import logsumexp
 from .clutter import ClutterCache, CompositeClutter, IidClusterClutter, PoissonCardinality, PoissonClutter
 from .clutter import clutter_width
 from .densities import (
+    GaussianDensity,
     GaussianMixture,
     LinearGaussianMotion,
     as_scan,
     ellipsoidal_gate,
     kalman_predict,
+    kalman_update_gated,
     moment_match,
     predicted_measurement_loglik,
 )
@@ -132,23 +139,20 @@ def predict(
     multi-Bernoulli birth used by MBM mode).
     """
     log_ps = math.log(motion.ps) if motion.ps > 0.0 else NEG_INF
+    # One stack: the PPP components, then every hypothesis that survives.
+    live = [h.density for tree in d.trees for h in tree.hyps if h.r * motion.ps > 0.0]
+    preds = iter(kalman_predict(list(d.ppp.comps) + live, motion))
     ppp = GaussianMixture(
         [lw + log_ps for lw in d.ppp.log_w] + list(birth.log_w),
-        [kalman_predict(c, motion) for c in d.ppp.comps] + list(birth.comps),
+        [next(preds) for _ in d.ppp.comps] + list(birth.comps),
     )
     trees = []
     for tree in d.trees:
         hyps = []
         for h in tree.hyps:
             r = h.r * motion.ps
-            if r == 0.0:
-                hyps.append(LocalHypothesis(h.log_w, 0.0, None, h.pairs, h.parent))
-            else:
-                hyps.append(
-                    LocalHypothesis(
-                        h.log_w, r, kalman_predict(h.density, motion), h.pairs, h.parent
-                    )
-                )
+            dens = next(preds) if r > 0.0 else None
+            hyps.append(LocalHypothesis(h.log_w, r, dens, h.pairs, h.parent))
         trees.append(BernoulliTree(hyps, tree.origin))
     globals_ = d.globals_
     if birth_bernoulli:
@@ -240,7 +244,7 @@ class _UpdateWorkspace:
     is (log miss factor, existence after a miss, ascending gated rows,
     point-model (j, detection - miss) pairs with a finite detection factor).
     ``det_info`` gives its detection factor per cell, ``own_weight`` /
-    ``own_track`` the weight and posterior of a new track per cell.
+    ``own_tracks`` the weight and posterior of a new track per cell.
     ``src[s]`` is the scan's only evaluator of clutter source s; every
     reader of c_s(cell) goes through it.  Every point problem of the scan
     shares ``cache``: ``src[0]``, else the empty clutter process.
@@ -259,7 +263,7 @@ class _UpdateWorkspace:
         self.log_f0 = model.log_f_empty()
         self.f0 = math.exp(self.log_f0) if self.log_f0 > NEG_INF else 0.0
         self.log_lam = ppp_c.log_intensity(Z).tolist() if ppp_c is not None else None
-        self._det, self._own = {}, {}
+        self._det, self._own, self._pairs = {}, {}, {}
         self.src = [ClutterCache(c, Z) for c in sources]
         self.cache = self.src[0] if self.src else ClutterCache(
             IidClusterClutter(PoissonCardinality(0.0), ppp_c.region), Z
@@ -267,20 +271,45 @@ class _UpdateWorkspace:
         self._ppp_comps = [(lw, c) for lw, c in zip(d.ppp.log_w, d.ppp.comps) if lw > NEG_INF]
         if self.point:
             self._precompute_own_point()
+        self._detection_pass()
+
+    def _detection_pass(self):
+        """``rec`` from one stack over the predicted local hypotheses that
+        can exist: one gate and, for the point model, one likelihood table
+        and the posteriors of the gated pairs, which ``det_info`` wraps as
+        densities for the pairs an association uses."""
+        sensor, Z = self.model.sensor, self.Z
+        live = [h.density for tree in self.d.trees for h in tree.hyps if h.r > 0.0]
+        gated = [[] for _ in live]
+        scored = [[] for _ in live]  # point model: (j, log pd + log-likelihood, pair index)
+        if live and self.m:
+            mask = ellipsoidal_gate(live, sensor, Z, self.cfg.gate)
+            pn, pj = np.nonzero(mask)
+            pairs = list(zip(pn.tolist(), pj.tolist()))
+            for n, j in pairs:
+                gated[n].append(j)
+            if self.point and sensor.pd > 0.0:
+                log_pd = math.log(sensor.pd)
+                ll = predicted_measurement_loglik(live, sensor, Z)[pn, pj].tolist()
+                self._post = kalman_update_gated(live, sensor, Z, mask)
+                for p, ((n, j), l) in enumerate(zip(pairs, ll)):
+                    scored[n].append((j, log_pd + l, p))
         self.rec = []
-        for i, tree in enumerate(d.trees):
+        n = 0
+        for i, tree in enumerate(self.d.trees):
             recs = []
             for a, h in enumerate(tree.hyps):
                 fac = 1.0 - h.r + h.r * self.f0
                 log_miss = math.log(fac) if fac > 0.0 else NEG_INF
                 r_miss = h.r * self.f0 / fac if fac > 0.0 else 0.0
                 rows, eta = [], []
-                if h.r > 0.0 and self.m:
-                    mask = ellipsoidal_gate(h.density, model.sensor, Z, cfg.gate)
-                    rows = np.flatnonzero(mask).tolist()
-                if self.point:
-                    facs = [(j, self.det_info(i, a, (j,))[0]) for j in rows]
-                    eta = [(j, f - log_miss) for j, f in facs if f > NEG_INF]
+                if h.r > 0.0:
+                    rows, log_r = gated[n], math.log(h.r)
+                    for j, l, p in scored[n]:
+                        f = log_r + l
+                        self._pairs[(i, a, (j,))] = (f, p, n)
+                        eta.append((j, f - log_miss))
+                    n += 1
                 recs.append((log_miss, r_miss, rows, eta))
             self.rec.append(recs)
 
@@ -292,13 +321,10 @@ class _UpdateWorkspace:
         if m == 0 or not self._ppp_comps or sensor.pd == 0.0:
             self._own_l = [NEG_INF] * m
         else:
-            rows = np.array(
-                [
-                    lw + math.log(sensor.pd) + predicted_measurement_loglik(c, sensor, self.Z)
-                    for lw, c in self._ppp_comps
-                ]
-            )
-            self._own_l = logsumexp(rows, axis=0).tolist()
+            lws = np.array([lw for lw, _ in self._ppp_comps])[:, None] + math.log(sensor.pd)
+            self._own_comps = [c for _, c in self._ppp_comps]
+            self._own_rows = lws + predicted_measurement_loglik(self._own_comps, sensor, self.Z)
+            self._own_l = logsumexp(self._own_rows, axis=0).tolist()
         self.own_col = list(self._own_l)
         if self.log_lam is not None:
             self.own_col = [
@@ -312,7 +338,12 @@ class _UpdateWorkspace:
         out = self._det.get(key)
         if out is None:
             h = self.d.trees[i].hyps[a]
-            if h.r == 0.0:
+            pair = self._pairs.get(key)
+            if pair is not None:
+                fac, p, n = pair
+                means, covs = self._post
+                out = (fac, GaussianDensity._trusted(means[p], covs[n]))
+            elif h.r == 0.0:
                 out = (NEG_INF, None)
             else:
                 ll, post = self.model.detection_update(h.density, self.Z[list(cell)])
@@ -328,42 +359,54 @@ class _UpdateWorkspace:
         cell (tuple of indices)."""
         return self.own_col[cell[0]] if self.point else self._own_general(cell)[0]
 
-    def own_track(self, cell):
+    def own_tracks(self, cells):
         """Existence and moment-matched density of the potential track born
-        from ``cell``; built only for cells an association uses."""
-        if self.point:
-            log_w, log_l = self.own_col[cell[0]], self._own_l[cell[0]]
-            lws, comps = self._own_updates(cell) if log_l > NEG_INF else ([], [])
-        else:
-            log_w, log_l, lws, comps = self._own_general(cell)
+        from each of ``cells``, the cells some association uses; the point
+        model updates the PPP components for all of them as one stack."""
+        if not self.point:
+            return [self._own_track(*self._own_general(cell)) for cell in cells]
+        js = sorted({j for (j,) in cells if self._own_l[j] > NEG_INF})
+        if js:
+            mask = np.zeros(self._own_rows.shape, dtype=bool)
+            mask[:, js] = True
+            means, covs = kalman_update_gated(self._own_comps, self.model.sensor, self.Z, mask)
+            means = means.reshape(len(covs), len(js), -1)  # pairs are row-major
+        col = {j: k for k, j in enumerate(js)}
+        out = []
+        for (j,) in cells:
+            if j not in col:
+                out.append((0.0, None))
+                continue
+            comps = [GaussianDensity._trusted(mu, cov) for mu, cov in zip(means[:, col[j]], covs)]
+            out.append(self._own_track(self.own_col[j], self._own_l[j], self._own_rows[:, j], comps))
+        return out
+
+    @staticmethod
+    def _own_track(log_w, log_l, lws, comps):
+        """(existence, density) of a new track from its weight, its target
+        likelihood and its components' log weights and posteriors."""
         if log_w == NEG_INF or log_l == NEG_INF:
             return 0.0, None
         return math.exp(log_l - log_w), moment_match(np.array(lws) - log_l, comps)
 
     def _own_general(self, cell):
-        """General model: (log weight, log target likelihood, component log
-        weights, component posteriors) of ``cell``, once per scan."""
+        """General model: (log weight, log target likelihood, log weights and
+        posteriors of the PPP components that can explain ``cell``) of
+        ``cell``, once per scan."""
         out = self._own.get(cell)
         if out is None:
-            lws, comps = self._own_updates(cell)
+            lws, comps = [], []
+            for lw, c in self._ppp_comps:
+                ll, post = self.model.detection_update(c, self.Z[list(cell)])
+                if ll > NEG_INF:
+                    lws.append(lw + ll)
+                    comps.append(post)
             log_l = float(logsumexp(lws)) if lws else NEG_INF
             log_w = log_l
             if self.log_lam is not None and len(cell) == 1:
                 log_w = float(np.logaddexp(self.log_lam[cell[0]], log_l))
             out = self._own[cell] = (log_w, log_l, lws, comps)
         return out
-
-    def _own_updates(self, cell):
-        """Per-PPP-component log weights and posteriors for ``cell``, over
-        the components that can explain it."""
-        Zc = self.Z[list(cell)]
-        lws, comps = [], []
-        for lw, c in self._ppp_comps:
-            ll, post = self.model.detection_update(c, Zc)
-            if ll > NEG_INF:
-                lws.append(lw + ll)
-                comps.append(post)
-        return lws, comps
 
 
 def _enumerate_labelings(ws, g, g_idx, locs):
@@ -486,8 +529,7 @@ def _assemble(ws, assoc):
     own_index = {cell: n + rank for rank, cell in enumerate(own_keys)}
 
     new_trees = []
-    for cell in own_keys:
-        r, dens = ws.own_track(cell)
+    for cell, (r, dens) in zip(own_keys, ws.own_tracks(own_keys)):
         pairs = frozenset(MeasurementPair(k, j + 1) for j in cell)
         hyps = [
             LocalHypothesis(0.0, 0.0, None, frozenset()),

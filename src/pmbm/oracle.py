@@ -438,19 +438,24 @@ def _random_scan(rng, d, m, region):
 # Check suites (used by tests and the CLI)
 
 
-def _seeded(seed):
-    """The generator of a check suite, under ``update``'s seed rule."""
+def _seeded(seed, **counts):
+    """The generator of a check suite, under ``update``'s seed rule.  Each
+    of ``counts`` (trials, sweeps) must be an integer >= 1: a suite that
+    checks nothing would pass."""
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    for name, v in counts.items():
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+            raise ConfigurationError(f"{name} must be an integer >= 1, got {v!r}")
     return np.random.default_rng(seed)
 
 
 def check_update(seed=0, trials=200):
     """Engine posterior vs brute-force joint enumeration on random small
     instances across clutter families and both measurement models."""
-    rng = _seeded(seed)
+    rng = _seeded(seed, trials=trials)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=10**9, gate=1e12)
     fails = []
@@ -481,7 +486,7 @@ def check_update(seed=0, trials=200):
 def check_composite(seed=0, trials=60):
     """Composite update vs single-tree update with the composite set density
     (marginal agreement), plus the exact single-source reduction."""
-    rng = _seeded(seed)
+    rng = _seeded(seed, trials=trials)
     region = Region((-5.0, -5.0), (15.0, 15.0))
     cfg2 = FilterConfig(clutter_regime="composite", exhaustive_limit=10**9, gate=1e12)
     cfg1 = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=10**9, gate=1e12)
@@ -529,8 +534,11 @@ def check_gibbs(seed=0, sweeps=100_000, tv_bound=0.05):
     """Sampler conditionals vs direct ratios (exact) and long-run visit
     frequencies vs exhaustive enumeration (total variation) on each sampler
     kind of problem: count table (NB), general (opaque Poisson density) and
-    merged (the empty clutter process, the merged regime's column)."""
-    rng = _seeded(seed)
+    merged (the empty clutter process, the merged regime's column).
+    ``tv_bound`` must be finite and > 0."""
+    rng = _seeded(seed, sweeps=sweeps)
+    if isinstance(tv_bound, bool) or not isinstance(tv_bound, numbers.Real) or not 0.0 < tv_bound < math.inf:
+        raise ConfigurationError(f"tv_bound must be finite and > 0, got {tv_bound!r}")
     region = Region((-5.0, -5.0), (15.0, 15.0))
     fails = []
 

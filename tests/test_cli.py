@@ -1,6 +1,7 @@
 """Return-code and output contract of the console entry point."""
 
 import json
+import math
 
 import pytest
 
@@ -168,3 +169,30 @@ def test_filter_whose_every_run_failed_is_summarized(monkeypatch, tmp_path, caps
     }
     assert summary["metrics"]["pmbm"]["runs"] == 2
     assert "\npmb," not in (out / "curves.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "check, setting",
+    [
+        ("update", {"trials": 0}),
+        ("update", {"trials": -3}),
+        ("update", {"trials": 2.5}),
+        ("update", {"trials": True}),
+        ("composite", {"trials": 0}),
+        ("composite", {"trials": -3}),
+        ("composite", {"trials": 2.5}),
+        ("gibbs", {"sweeps": 0}),
+        ("gibbs", {"sweeps": -1}),
+        ("gibbs", {"sweeps": 10.0}),
+        ("gibbs", {"tv_bound": math.nan}),
+        ("gibbs", {"tv_bound": math.inf}),
+        ("gibbs", {"tv_bound": 0.0}),
+        ("gibbs", {"tv_bound": -0.05}),
+        ("gibbs", {"tv_bound": True}),
+    ],
+)
+def test_vacuous_oracle_setting_refused(check, setting):
+    # A suite that checks nothing, or against no bound, would pass.
+    (name,) = setting
+    with pytest.raises(ConfigurationError, match=name):
+        getattr(oracle, f"check_{check}")(seed=1, **setting)

@@ -21,6 +21,7 @@ from pmbm.densities import (
     gaussian_logpdf,
     kalman_predict,
     kalman_update,
+    kalman_update_gated,
     moment_match,
     predicted_measurement_loglik,
 )
@@ -420,3 +421,168 @@ class TestFactorOnceKernel:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
+
+
+# -- the stacked kernels against the per-density references ----------------
+
+RTOL = 1e-12
+GATE_BAND = 1e-9
+
+
+def _fresh(d):
+    """A copy of d that shares no memo with it."""
+    return GaussianDensity(d.mean.copy(), d.cov.copy())
+
+
+def _stack_case(rng, n, m, dx=4, dz=2):
+    """n densities whose covariances differ in scale and shape by orders of
+    magnitude, a sensor and a scan of m rows."""
+    scales = 10.0 ** rng.uniform(-2.0, 3.0, size=n)
+    dens = [GaussianDensity(rng.normal(size=dx) * 10.0, s * _random_pd(rng, dx)) for s in scales]
+    sensor = LinearGaussianSensor(rng.normal(size=(dz, dx)), _random_pd(rng, dz), 0.9)
+    return dens, sensor, rng.normal(size=(m, dz)) * 20.0
+
+
+def _close(got, want):
+    """Equal within RTOL of the larger magnitude in ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= RTOL * np.max(np.abs(want), initial=1.0)
+
+
+STACKS = [(1, 5), (6, 0), (4, 85), (12, 7)]
+
+
+class TestStackedKernels:
+    """Each row of a stack agrees with the per-density references; S of each
+    density is factored once for every kernel that reads it."""
+
+    @pytest.mark.parametrize("n, m", STACKS, ids=["N=1", "m=0", "m=85", "mixed"])
+    def test_rows_match_references(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        dens, sensor, Z = _stack_case(rng, n, m)
+        gamma = 9.0
+        ll = predicted_measurement_loglik(dens, sensor, Z)
+        mask = ellipsoidal_gate(dens, sensor, Z, gamma)
+        assert ll.shape == mask.shape == (n, m)
+        for k, d in enumerate(dens):
+            ref = _fresh(d)
+            _close(ll[k], _ref_loglik(ref, sensor, Z))
+            maha = _ref_maha(ref, sensor, Z)
+            clear = np.abs(maha - gamma) > GATE_BAND * gamma
+            assert np.array_equal(mask[k][clear], (maha <= gamma)[clear])
+
+    @pytest.mark.parametrize("n, m", STACKS, ids=["N=1", "m=0", "m=85", "mixed"])
+    def test_gated_updates_match_kalman_update(self, n, m):
+        rng = np.random.default_rng(7 * n + m)
+        dens, sensor, Z = _stack_case(rng, n, m)
+        mask = ellipsoidal_gate(dens, sensor, Z, 9.0)
+        mask[0, : min(m, 3)] = True  # a row of the first density whatever the gate says
+        means, covs = kalman_update_gated(dens, sensor, Z, mask)
+        pn, pj = np.nonzero(mask)
+        assert means.shape == (pn.size, 4) and covs.shape == (n, 4, 4)
+        for p, (k, j) in enumerate(zip(pn, pj)):
+            post, _ = kalman_update(_fresh(dens[k]), sensor, Z[j])
+            _close(means[p], post.mean)
+            _close(covs[k], post.cov)
+            mean, cov, _ = _ref_update(dens[k], sensor, Z[j])
+            _close(means[p], mean)
+            _close(covs[k], cov)
+
+    def test_a_sequence_inside_a_built_stack_reads_its_own_rows(self):
+        rng = np.random.default_rng(11)
+        dens, sensor, Z = _stack_case(rng, 6, 4)
+        ellipsoidal_gate(dens, sensor, Z, 9.0)
+        part = [dens[4], dens[1], dens[5]]
+        mask = np.ones((3, 4), dtype=bool)
+        ll = predicted_measurement_loglik(part, sensor, Z)
+        means, covs = kalman_update_gated(part, sensor, Z, mask)
+        for k, d in enumerate(part):
+            _close(ll[k], _ref_loglik(_fresh(d), sensor, Z))
+            for j in range(4):
+                post, _ = kalman_update(_fresh(d), sensor, Z[j])
+                _close(means[4 * k + j], post.mean)
+                _close(covs[k], post.cov)
+
+    def test_predict_rows_match_single_predictions(self, cv_motion):
+        rng = np.random.default_rng(3)
+        dens, _, _ = _stack_case(rng, 9, 0)
+        out = kalman_predict(dens, cv_motion)
+        assert len(out) == 9 and kalman_predict([], cv_motion) == []
+        for got, d in zip(out, dens):
+            want = kalman_predict(_fresh(d), cv_motion)
+            _close(got.mean, want.mean)
+            _close(got.cov, want.cov)
+            _close(got.mean, cv_motion.F @ d.mean)
+            _close(got.cov, cv_motion.F @ d.cov @ cv_motion.F.T + cv_motion.Q)
+            assert not got.mean.flags.writeable and not got.cov.flags.writeable
+
+    def test_empty_sequence(self, pos_sensor):
+        Z = np.zeros((3, 2))
+        assert predicted_measurement_loglik([], pos_sensor, Z).shape == (0, 3)
+        assert ellipsoidal_gate([], pos_sensor, Z, 9.0).shape == (0, 3)
+        means, covs = kalman_update_gated([], pos_sensor, Z, np.zeros((0, 3), dtype=bool))
+        assert means.shape == (0, 4) and covs.shape == (0, 4, 4)
+
+    def test_each_innovation_factored_once(self, monkeypatch):
+        from pmbm import densities
+
+        rng = np.random.default_rng(5)
+        dens, sensor, Z = _stack_case(rng, 5, 6)
+        calls = []
+        real = densities.dpotrf
+        monkeypatch.setattr(densities, "dpotrf", lambda a, **kw: calls.append(1) or real(a, **kw))
+        mask = ellipsoidal_gate(dens, sensor, Z, 50.0)
+        predicted_measurement_loglik(dens, sensor, Z)
+        kalman_update_gated(dens, sensor, Z, mask)
+        predicted_measurement_loglik(dens[2:], sensor, Z)
+        kalman_update(dens[3], sensor, Z[0])
+        assert len(calls) == 5
+
+    def test_distances_follow_the_scan(self):
+        # The stack keeps its distances to the last scan; another scan, or
+        # the same array changed in place, is measured afresh.
+        rng = np.random.default_rng(9)
+        dens, sensor, Z = _stack_case(rng, 4, 6)
+        for scan in (Z, Z[:3], Z + 1.0, Z):
+            got = predicted_measurement_loglik(dens, sensor, scan)
+            for k, d in enumerate(dens):
+                _close(got[k], _ref_loglik(_fresh(d), sensor, scan))
+        Z[0] += 50.0
+        got = predicted_measurement_loglik(dens, sensor, Z)
+        _close(got[1], _ref_loglik(_fresh(dens[1]), sensor, Z))
+
+    def test_singular_innovation_in_a_stack_is_numerical(self, pos_sensor):
+        good = GaussianDensity(np.zeros(4), np.eye(4))
+        bad = GaussianDensity._trusted(np.zeros(4), -10.0 * np.eye(4))
+        with pytest.raises(NumericalError, match="singular innovation covariance"):
+            ellipsoidal_gate([good, bad, good], pos_sensor, np.zeros((2, 2)), 9.0)
+
+    def test_non_pd_prediction_in_a_stack_is_numerical(self):
+        motion = LinearGaussianMotion(np.eye(2), np.zeros((2, 2)), 1.0)
+        good = GaussianDensity(np.zeros(2), np.eye(2))
+        bad = GaussianDensity._trusted(np.zeros(2), np.zeros((2, 2)))
+        with pytest.raises(NumericalError, match="predicted covariance is not positive definite"):
+            kalman_predict([good, bad], motion)
+
+    def test_non_pd_posterior_in_a_stack_is_numerical(self):
+        # The unobserved coordinate keeps its negative variance, while S > 0.
+        sensor = LinearGaussianSensor(np.array([[1.0, 0.0]]), np.eye(1), 0.9)
+        good = GaussianDensity(np.zeros(2), np.eye(2))
+        bad = GaussianDensity._trusted(np.zeros(2), np.diag([1.0, -1.0]))
+        Z = np.zeros((1, 1))
+        with pytest.raises(NumericalError, match="posterior covariance is not positive definite"):
+            kalman_update_gated([good, bad], sensor, Z, np.ones((2, 1), dtype=bool))
+
+    @pytest.mark.parametrize("kernel", ["gate", "loglik", "predict", "update"])
+    def test_mixed_state_widths_refused(self, kernel, pos_sensor, cv_motion):
+        dens = [GaussianDensity(np.zeros(4), np.eye(4)), GaussianDensity(np.zeros(2), np.eye(2))]
+        Z = np.zeros((1, 2))
+        calls = {
+            "gate": lambda: ellipsoidal_gate(dens, pos_sensor, Z, 9.0),
+            "loglik": lambda: predicted_measurement_loglik(dens, pos_sensor, Z),
+            "predict": lambda: kalman_predict(dens, cv_motion),
+            "update": lambda: kalman_update_gated(dens, pos_sensor, Z, np.ones((2, 1), dtype=bool)),
+        }
+        with pytest.raises(ConfigurationError, match="one state width"):
+            calls[kernel]()

@@ -599,6 +599,109 @@ class TestGateTable:
         assert gate_breaches(1e12)[0] > 0
 
 
+def scenario_prediction(m_extra=0, pd=None, steps=6, seed=4):
+    """The predicted density after ``steps - 1`` pmbm steps of a default
+    scenario, the next scan with ``m_extra`` uniform rows added, the point
+    model (its pd replaced by ``pd``) and the filter spec."""
+    from pmbm import harness
+
+    cfg = harness.ScenarioConfig(steps=steps, runs=1, seed=seed, max_global_hyps=30)
+    rng = np.random.default_rng(seed)
+    truth = harness.sample_ground_truth(cfg, rng)
+    scans = harness.sample_scans(truth, cfg, rng)
+    (spec,) = harness.filter_bank(cfg, ("pmbm",))
+    sensor, motion = harness.sensor_model(cfg), harness.motion_model(cfg)
+    model = PointTargetModel(sensor)
+    d = initial_density()
+    for k in range(1, steps):
+        d, _ = harness.filter_step(d, scans[k - 1], k, spec, cfg, model, motion, seed=0)
+    pred = predict(d, motion, harness.birth_mixture(cfg, steps))
+    Z = np.concatenate([scans[steps - 1], rng.uniform(0.0, 300.0, size=(m_extra, 2))])
+    if pd is not None:
+        model = PointTargetModel(LinearGaussianSensor(sensor.H, sensor.R, pd))
+    return pred, Z, model, spec
+
+
+class TestDetectionPass:
+    """The scan's stacked records equal a per-density gate and
+    ``detection_update`` reference: rtol 1e-12, and the gate exact away
+    from a 1e-9 band around its threshold."""
+
+    RTOL = 1e-12
+
+    def close(self, got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= self.RTOL * max(1.0, np.max(np.abs(want), initial=0.0))
+
+    @pytest.mark.parametrize(
+        "m_extra, pd, empty",
+        [(0, None, False), (85, None, False), (0, None, True), (5, 0.0, False)],
+        ids=["scan", "m>=80", "empty-scan", "pd=0"],
+    )
+    def test_records_match_per_density_reference(self, m_extra, pd, empty):
+        from pmbm.filtering import _UpdateWorkspace
+
+        pred, Z, model, spec = scenario_prediction(m_extra, pd)
+        if empty:
+            Z = Z[:0]
+        assert Z.shape[0] >= 80 or m_extra < 80
+        cfg, sensor = spec.filter_cfg, model.sensor
+        ws = _UpdateWorkspace(pred, Z, model, [], spec.clutter, cfg, pred.step + 1)
+        zero_r = pairs = 0
+        for i, tree in enumerate(pred.trees):
+            for a, h in enumerate(tree.hyps):
+                log_miss, _, rows, eta = ws.rec[i][a]
+                if h.r == 0.0:
+                    zero_r += 1
+                    assert rows == [] and eta == []
+                    assert ws.det_info(i, a, (0,)) == (NEG_INF, None)
+                    continue
+                ref = GaussianDensity(h.density.mean.copy(), h.density.cov.copy())
+                nu = Z - sensor.H @ ref.mean
+                S = sensor.H @ ref.cov @ sensor.H.T + sensor.R
+                maha = np.einsum("ij,ij->i", nu, np.linalg.solve(S, nu.T).T)
+                clear = np.abs(maha - cfg.gate) > 1e-9 * cfg.gate
+                got = np.zeros(Z.shape[0], dtype=bool)
+                got[rows] = True
+                assert np.array_equal(got[clear], (maha <= cfg.gate)[clear])
+                assert np.array_equal(got, ellipsoidal_gate(ref, sensor, Z, cfg.gate))
+                assert [j for j, _ in eta] == (rows if sensor.pd > 0.0 else [])
+                for j, e in eta:
+                    ll, post = model.detection_update(ref, Z[[j]])
+                    fac, got_post = ws.det_info(i, a, (j,))
+                    self.close(fac, math.log(h.r) + ll)
+                    self.close(e, math.log(h.r) + ll - log_miss)
+                    self.close(got_post.mean, post.mean)
+                    self.close(got_post.cov, post.cov)
+                    pairs += 1
+                for j in rows if sensor.pd == 0.0 else ():
+                    assert ws.det_info(i, a, (j,)) == (NEG_INF, None)
+        assert zero_r > 0
+        assert (pairs > 0) == (Z.shape[0] > 0 and sensor.pd > 0.0)
+        if pd is None and not empty:
+            assert pairs >= 10
+
+    def test_new_track_column_and_posteriors_match_reference(self):
+        from pmbm.filtering import _UpdateWorkspace
+
+        pred, Z, model, spec = scenario_prediction(3)
+        ws = _UpdateWorkspace(pred, Z, model, [], spec.clutter, spec.filter_cfg, pred.step + 1)
+        comps = [(lw, GaussianDensity(c.mean.copy(), c.cov.copy())) for lw, c in zip(pred.ppp.log_w, pred.ppp.comps)]
+        lam = spec.clutter.log_intensity(Z)
+        cells = [(j,) for j in reversed(range(Z.shape[0]))]  # results follow the cells' order
+        for (j,), (r, dens) in zip(cells, ws.own_tracks(cells)):
+            ups = [(lw + ll, post) for lw, c in comps for ll, post in [model.detection_update(c, Z[[j]])]]
+            log_l = logsumexp([lw for lw, _ in ups])
+            self.close(ws.own_col[j], np.logaddexp(lam[j], log_l))
+            self.close(r, math.exp(log_l - np.logaddexp(lam[j], log_l)))
+            w = np.exp(np.array([lw for lw, _ in ups]) - log_l)
+            mean = sum(wk * p.mean for wk, (_, p) in zip(w, ups))
+            self.close(dens.mean, mean)
+            cov = sum(wk * (p.cov + np.outer(p.mean - mean, p.mean - mean)) for wk, (_, p) in zip(w, ups))
+            assert_allclose(dens.cov, cov, rtol=1e-9)
+
+
 def two_global_posterior():
     d = ppp_only_density(log_w=0.0, mean=0.0, var=1.0)
     cfg = FilterConfig(clutter_regime="arbitrary")
