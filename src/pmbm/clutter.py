@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .densities import GaussianDensity, LinearGaussianSensor, as_scan, gaussian_logpdf
+from .densities import GaussianDensity, LinearGaussianSensor, as_scan, gaussian_logpdf, logsumexp
 from .errors import ConfigurationError, SizeLimitError
 from .measmodel import ExtendedTargetModel, extended_set_density
 

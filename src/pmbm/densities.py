@@ -69,6 +69,27 @@ def as_scan(Z, dim: int) -> np.ndarray:
     return arr
 
 
+def logsumexp(a, axis=None):
+    """``scipy.special.logsumexp(a, axis)`` of real ``a``, bit for bit,
+    without its array-API dispatch: the max terms are split out of the sum,
+    and a non-finite result is replaced by the direct ``log(sum(exp(a)))``."""
+    a = np.asarray(a, dtype=float)
+    if axis is None:
+        a, axis = a.reshape(-1), 0
+    if a.size == 0:
+        return np.full(np.delete(a.shape, axis), -np.inf)[()]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis, keepdims=True)
+        top = a == a_max
+        m = top.sum(axis, keepdims=True, dtype=float)
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a).sum(axis, keepdims=True))[bad]
+    return out.squeeze(axis)[()]
+
+
 def _check_symmetric(cov: np.ndarray, what: str) -> None:
     scale = max(1.0, float(np.max(np.abs(cov))))
     if np.max(np.abs(cov - cov.T)) > _SYM_RTOL * scale:

@@ -28,11 +28,12 @@ detection pass over the scan: every (i, a) that can exist is one stack,
 with S factored once per density per scan, so one gate call and one
 likelihood call score them all, and the point model's posteriors of every
 gated pair are computed as one stack.  ``predict`` moves the PPP components
-and every surviving hypothesis as one stack too.  One child rule builds
-each posterior local hypothesis, of a Bernoulli or a clutter tree, from a
-predicted one and its cell; each global hypothesis is built once, with its
-normalized weight.  A posterior density, of a detected track or of a new
-track, is built only for the cells some association uses.
+and every surviving hypothesis as one stack too.  The global-hypothesis
+cut (``reduce``'s rule) picks associations by their raw weights, and only
+those it keeps are built.  One child rule builds each posterior local
+hypothesis, of a Bernoulli or a clutter tree, from a predicted one and its
+cell; each global hypothesis is built once, with its weight renormalized
+over the kept ones, and a posterior density only for the cells it uses.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clutter import ClutterCache, CompositeClutter, IidClusterClutter, PoissonCardinality, PoissonClutter
 from .clutter import clutter_width
@@ -56,6 +56,7 @@ from .densities import (
     ellipsoidal_gate,
     kalman_predict,
     kalman_update_gated,
+    logsumexp,
     moment_match,
     predicted_measurement_loglik,
 )
@@ -92,8 +93,9 @@ class FilterConfig:
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1")
-        bounds = (("mbm_prune", 1.0), ("ppp_prune", math.inf), ("bern_prune", 1.0), ("gate", math.inf))
-        for name, top in bounds:
+        if not 0.0 <= self.mbm_prune <= 1.0:  # 0 keeps every association
+            raise ConfigurationError("mbm_prune must be in [0, 1]")
+        for name, top in (("ppp_prune", math.inf), ("bern_prune", 1.0), ("gate", math.inf)):
             if not 0.0 < getattr(self, name) <= top:
                 raise ConfigurationError(f"{name} must be in (0, {top}]")
         if self.mode not in ("pmbm", "pmb", "mbm"):
@@ -168,7 +170,9 @@ def predict(
 
 
 def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) -> PmbmDensity:
-    """One measurement update under the configured clutter regime."""
+    """One measurement update under the configured clutter regime: the
+    posterior that the cut of ``cfg`` (``mbm_prune``, ``max_global_hyps``)
+    keeps, normalized, in cut order.  ``oracle.KEEP_ALL``'s cut keeps it all."""
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ConfigurationError("seed must be an integer >= 0")
     if cfg.clutter_regime == "arbitrary":
@@ -207,21 +211,23 @@ def update(d: PmbmDensity, Z, model, clutter, cfg: FilterConfig, seed: int = 0) 
 
     ws = _UpdateWorkspace(d, Z, model, sources, ppp_c, cfg, d.step + 1)
 
-    # Gather associations per predicted global hypothesis.
-    assoc = []  # (g_idx, src_cells, detected (tree, cell) pairs, own_cells, log_w_unnorm)
+    # Associations per predicted global hypothesis: (g_idx, a point vector
+    # (g_idx in ``vectors``) or a labeling's cells, unnormalized log weight).
+    assoc, vectors = [], set()
     for g_idx, g in enumerate(d.globals_):
         if g.log_w == NEG_INF:
             continue
         locs = [ws.rec[i][a] for i, a in enumerate(g.berns)]
         if ws.point and n_src <= 1 and all(loc[0] > NEG_INF for loc in locs):
+            vectors.add(g_idx)
             assoc.extend(_point_associations(ws, g, g_idx, locs, seed))
         else:
             assoc.extend(_enumerate_labelings(ws, g, g_idx, locs))
     if not assoc:
-        assoc = [_fallback_association(ws)]
+        assoc, vectors = [_fallback_association(ws)], set()
         warnings.warn("no association had positive weight; forced all-clutter fallback")
 
-    return _assemble(ws, assoc)
+    return _assemble(ws, assoc, vectors)
 
 
 def _subset_partitions(items: tuple, cap=None):
@@ -417,7 +423,7 @@ def _enumerate_labelings(ws, g, g_idx, locs):
     it or a new track; past ``exhaustive_limit`` labelings (times
     Bell(min(m, 20)) for the general model) this refuses.
 
-    Yields (g_idx, src_cells, detected, own_cells, log_w): cells are tuples
+    Yields (g_idx, (src_cells, detected, own_cells), log_w): cells are tuples
     of 0-based measurement indices, ``detected`` the (tree, cell) pairs of
     the trees that detect, log_w the weight of ``g`` times the scan factor.
     """
@@ -479,7 +485,7 @@ def _enumerate_labelings(ws, g, g_idx, locs):
                 if w == NEG_INF:
                     break
             if w > NEG_INF:
-                yield g_idx, tuple(tuple(c) for c in src_cells), tuple(detected), split, g.log_w + w
+                yield g_idx, (tuple(tuple(c) for c in src_cells), tuple(detected), split), g.log_w + w
 
     # itertools.product keeps the first row outermost.
     for labels in itertools.product(*options):
@@ -491,9 +497,9 @@ def _point_associations(ws, g, g_idx, locs, seed):
     with at most one clutter column, whose local hypotheses have the records
     ``locs`` and can all miss: every vector of positive weight of its
     association problem when its candidate product is at most
-    ``exhaustive_limit``, else Gibbs samples of it.  Each is weighed as the
-    hypothesis weight, the miss sum and its problem weight."""
-    n, n_src = ws.n, len(ws.sources)
+    ``exhaustive_limit``, else Gibbs samples of it.  Yields (g_idx, vector,
+    log_w), log_w the hypothesis weight, the miss sum and its problem
+    weight."""
     miss_base = 0.0
     for loc in locs:
         miss_base += loc[0]
@@ -506,10 +512,7 @@ def _point_associations(ws, g, g_idx, locs, seed):
     else:
         vectors = candidate_product(problem)
     for gamma, lw in vectors:
-        src_cells = (tuple(j for j, v in enumerate(gamma) if v == 0),) if n_src else ()
-        detected = tuple((v - 1, (j,)) for j, v in enumerate(gamma) if 1 <= v <= n)
-        own_cells = tuple((j,) for j, v in enumerate(gamma) if v > n)
-        yield g_idx, src_cells, detected, own_cells, g.log_w + miss_base + lw
+        yield g_idx, gamma, g.log_w + miss_base + lw
 
 
 def _fallback_association(ws):
@@ -518,14 +521,44 @@ def _fallback_association(ws):
     d, all_j = ws.d, tuple(range(ws.m))
     g_idx = max(range(len(d.globals_)), key=lambda i: d.globals_[i].log_w)
     if ws.sources:
-        return (g_idx, (all_j,) + ((),) * (len(ws.sources) - 1), (), (), 0.0)
-    return (g_idx, (), (), tuple((j,) for j in all_j), 0.0)
+        return (g_idx, ((all_j,) + ((),) * (len(ws.sources) - 1), (), ()), 0.0)
+    return (g_idx, ((), (), tuple((j,) for j in all_j)), 0.0)
 
 
-def _assemble(ws, assoc):
+def _cut(log_w, cfg: FilterConfig):
+    """The global-hypothesis cut of ``update`` and ``reduce``: of weights
+    ``log_w`` normalized over all, sorted stably by descending value, keep
+    those of at least ``mbm_prune`` (else the best), at most
+    ``max_global_hyps``.  Returns the kept indices, in that order, and their
+    weights renormalized over them."""
+    if not len(log_w):
+        raise ConfigurationError("cannot reduce an empty hypothesis set")
+    x = np.asarray(log_w, dtype=float) - logsumexp(log_w)
+    xs = x.tolist()
+    order = sorted(range(len(xs)), key=lambda i: -xs[i])
+    thr = math.log(cfg.mbm_prune) if cfg.mbm_prune > 0.0 else NEG_INF
+    keep = ([i for i in order if xs[i] >= thr] or order[:1])[: cfg.max_global_hyps]
+    kept = x[keep]
+    return keep, kept - logsumexp(kept)
+
+
+def _assemble(ws, assoc, vectors):
+    """The posterior the cut keeps: only the associations ``_cut`` keeps
+    are decoded into cells and built, in association order, and they are
+    emitted in cut order."""
     d, k, m, n, n_src = ws.d, ws.k, ws.m, ws.n, len(ws.sources)
+    keep, log_w = _cut([item[2] for item in assoc], ws.cfg)
+    built = sorted(keep)
+    cells = {}  # association index -> (src_cells, detected, own_cells)
+    for x in built:
+        g_idx, a, _ = assoc[x]
+        if g_idx in vectors:  # a point vector: 0 is clutter, 1..n a tree, above n a new track
+            src = (tuple(j for j, v in enumerate(a) if v == 0),) if n_src else ()
+            detected = tuple((v - 1, (j,)) for j, v in enumerate(a) if 1 <= v <= n)
+            a = src, detected, tuple((j,) for j, v in enumerate(a) if v > n)
+        cells[x] = a
     # Deterministic ordering for measurement-born trees.
-    own_keys = sorted({cell for item in assoc for cell in item[3]})
+    own_keys = sorted({cell for c in cells.values() for cell in c[2]})
     own_index = {cell: n + rank for rank, cell in enumerate(own_keys)}
 
     new_trees = []
@@ -565,42 +598,31 @@ def _assemble(ws, assoc):
         idx = children[key] = len(hyps) - 1
         return idx
 
-    # The associations of one predicted global hypothesis are adjacent.  At
-    # its first, every tree none of them detects takes its miss child, once;
-    # each association then patches only the trees some of them detect.
-    selections = []  # (log_w, clutter selection, Bernoulli selection)
-    for g_idx, items in itertools.groupby(assoc, key=lambda item: item[0]):
-        items = list(items)
+    # The kept associations of one predicted global hypothesis are adjacent.
+    # At its first, every tree none of them detects takes its miss child,
+    # once; each association then patches only the trees some of them detect.
+    selections = {}  # association index -> (clutter selection, Bernoulli selection)
+    for g_idx, xs in itertools.groupby(built, key=lambda x: assoc[x][0]):
+        xs = list(xs)
         g = d.globals_[g_idx]
-        patched = {i for item in items for i, _ in item[2]}
+        patched = {i for x in xs for i, _ in cells[x][1]}
         base = [0] * len(upd_trees)
         for i in set(range(n)) - patched:
             base[i] = child(False, i, g.berns[i], ())
-        for _, src_cells, detected, own_cells, log_w in items:
-            clutter_sel = tuple(
-                child(True, s, g.clutter[s], src_cells[s]) for s in range(n_src)
-            )
+        for x in xs:
+            src_cells, detected, own_cells = cells[x]
+            clutter_sel = tuple(child(True, s, g.clutter[s], src_cells[s]) for s in range(n_src))
             bern_sel = list(base)
-            cells = dict(detected)
+            tree_cells = dict(detected)
             for i in patched:
-                bern_sel[i] = child(False, i, g.berns[i], cells.get(i, ()))
+                bern_sel[i] = child(False, i, g.berns[i], tree_cells.get(i, ()))
             for cell in own_cells:
                 bern_sel[own_index[cell]] = 1
-            selections.append((log_w, clutter_sel, tuple(bern_sel)))
-
-    # Every association has a finite weight (the fallback carries 0).
-    norm = logsumexp([sel[0] for sel in selections])
-    globals_ = [GlobalHypothesis(float(log_w - norm), c, b) for log_w, c, b in selections]
+            selections[x] = (clutter_sel, tuple(bern_sel))
+    globals_ = [GlobalHypothesis(lw, *selections[x]) for x, lw in zip(keep, log_w.tolist())]
 
     universe = d.universe | {MeasurementPair(k, j + 1) for j in range(m)}
-    return PmbmDensity(
-        ppp=d.ppp.scaled(ws.log_f0),
-        trees=upd_trees,
-        clutter_trees=upd_ctrees,
-        globals_=globals_,
-        universe=universe,
-        step=k,
-    )
+    return PmbmDensity(d.ppp.scaled(ws.log_f0), upd_trees, upd_ctrees, globals_, universe, k)
 
 
 def project_to_pmb(d: PmbmDensity) -> PmbmDensity:
@@ -646,17 +668,11 @@ def project_to_pmb(d: PmbmDensity) -> PmbmDensity:
 
 
 def reduce(d: PmbmDensity, cfg: FilterConfig) -> PmbmDensity:
-    """Prune global hypotheses, unreferenced local hypotheses, weak trees
-    and weak PPP components; renormalize."""
-    order = sorted(range(len(d.globals_)), key=lambda i: -d.globals_[i].log_w)
-    thr = math.log(cfg.mbm_prune)
-    keep = [i for i in order if d.globals_[i].log_w >= thr]
-    if not keep:
-        keep = [order[0]]
-    keep = keep[: cfg.max_global_hyps]
-    globals_ = [d.globals_[i] for i in keep]
-    logs = np.array([g.log_w for g in globals_])
-    logs = logs - logsumexp(logs)
+    """Apply the global-hypothesis cut, prune unreferenced local
+    hypotheses, weak trees and weak PPP components, and merge global
+    hypotheses that became equal; renormalize.  The cut keeps ``update``'s
+    output whole, and the kept weights enter the merge as they are."""
+    globals_ = [d.globals_[i] for i in _cut([g.log_w for g in d.globals_], cfg)[0]]
 
     # Local hypotheses some surviving global references, per tree.  A tree
     # whose best used existence is below threshold goes, and its measurement
@@ -687,12 +703,12 @@ def reduce(d: PmbmDensity, cfg: FilterConfig) -> PmbmDensity:
 
     # Removing tree columns can make hypotheses indistinguishable: merge.
     merged: dict[tuple, float] = {}
-    for lw, g in zip(logs, globals_):
+    for g in globals_:
         key = (
             tuple(cmaps[s][a] for s, a in enumerate(g.clutter)),
             tuple(maps[i][g.berns[i]] for i in kept),
         )
-        merged[key] = float(np.logaddexp(merged[key], lw)) if key in merged else float(lw)
+        merged[key] = float(np.logaddexp(merged[key], g.log_w)) if key in merged else g.log_w
     logs = np.array(list(merged.values()))
     logs = logs - logsumexp(logs)
     globals_ = [GlobalHypothesis(float(lw), c, b) for (c, b), lw in zip(merged, logs)]

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clutter import ClutterCache
+from .densities import logsumexp
 from .errors import ConfigurationError, NumericalError, SizeLimitError
 
 NEG_INF = float("-inf")

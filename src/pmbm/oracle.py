@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clutter import (
     ClutterCache,
@@ -27,7 +26,8 @@ from .clutter import (
     Region,
     nb_from_mean_dispersion,
 )
-from .densities import GaussianDensity, GaussianMixture, LinearGaussianSensor, as_scan, moment_match
+from .densities import GaussianDensity, GaussianMixture, LinearGaussianSensor, as_scan, logsumexp
+from .densities import moment_match
 from .errors import ConfigurationError
 from .filtering import FilterConfig, PmbmDensity, update
 from .gibbs import AssociationProblem, assoc_log_weight, enumerate_associations, gibbs_conditional, run_gibbs
@@ -35,6 +35,10 @@ from .hypotheses import BernoulliTree, ClutterTree, GlobalHypothesis, LocalHypot
 from .measmodel import ExtendedTargetModel, PointTargetModel
 
 NEG_INF = float("-inf")
+
+# The cut that keeps every association: an enumerated update under it is the
+# exact posterior (sampled problems would draw sweeps in proportion to its cap).
+KEEP_ALL = FilterConfig(mbm_prune=0.0, max_global_hyps=10**9)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +461,7 @@ def check_update(seed=0, trials=200):
     instances across clutter families and both measurement models."""
     rng = _seeded(seed, trials=trials)
     region = Region((-5.0, -5.0), (15.0, 15.0))
-    cfg = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=10**9, gate=1e12)
+    cfg = replace(KEEP_ALL, clutter_regime="arbitrary", exhaustive_limit=10**9, gate=1e12)
     fails = []
     for t in range(trials):
         n = int(rng.integers(0, 3))
@@ -488,8 +492,8 @@ def check_composite(seed=0, trials=60):
     (marginal agreement), plus the exact single-source reduction."""
     rng = _seeded(seed, trials=trials)
     region = Region((-5.0, -5.0), (15.0, 15.0))
-    cfg2 = FilterConfig(clutter_regime="composite", exhaustive_limit=10**9, gate=1e12)
-    cfg1 = FilterConfig(clutter_regime="arbitrary", exhaustive_limit=10**9, gate=1e12)
+    cfg2 = replace(KEEP_ALL, clutter_regime="composite", exhaustive_limit=10**9, gate=1e12)
+    cfg1 = replace(cfg2, clutter_regime="arbitrary")
     fails = []
     for t in range(trials):
         n = int(rng.integers(0, 3))

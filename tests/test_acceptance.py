@@ -8,6 +8,7 @@ session and is reused by both tests.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from pmbm.clutter import (
     poisson_nb_kld,
 )
 from pmbm.densities import GaussianDensity, GaussianMixture, LinearGaussianSensor, predicted_measurement_loglik
-from pmbm.filtering import FilterConfig, PmbmDensity, update
+from pmbm.filtering import PmbmDensity, update
 from pmbm.gospa import GospaConfig, gospa
 from pmbm.harness import DEFAULT_FILTERS, ScenarioConfig, experiment
 from pmbm.hypotheses import GlobalHypothesis, count_hypotheses
 from pmbm.measmodel import PointTargetModel
-from pmbm.oracle import check_composite, check_gibbs, check_update, target_marginals
+from pmbm.oracle import KEEP_ALL, check_composite, check_gibbs, check_update, target_marginals
 
 LINE = Region((-100.0,), (100.0,))
 
@@ -113,7 +114,7 @@ def test_criterion_04_new_track_existence_closed_forms():
 
     # Poisson clutter: the closed form, and no response to a far measurement.
     ppp_c = PoissonClutter(10.0, LINE)
-    cfg_m = FilterConfig(clutter_regime="ppp-merged")
+    cfg_m = replace(KEEP_ALL, clutter_regime="ppp-merged")
     lam = math.exp(float(ppp_c.log_intensity(z1)[0]))
     want = math.exp(log_l1) / (lam + math.exp(log_l1))
     r_one = born_r(update(prior(), z1, model, ppp_c, cfg_m))
@@ -124,7 +125,7 @@ def test_criterion_04_new_track_existence_closed_forms():
     # Non-Poisson clutter: closed form again, but the far measurement now
     # shifts the existence because the cardinality pmf does not factorize.
     nb = IidClusterClutter(nb_from_mean_dispersion(10.0, 20.0), LINE)
-    cfg_a = FilterConfig(clutter_regime="arbitrary")
+    cfg_a = replace(KEEP_ALL, clutter_regime="arbitrary")
     c_empty = nb.log_density(z1[:0])
     c_z1 = nb.log_density(z1)
     c_z2 = nb.log_density(z12[1:])

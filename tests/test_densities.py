@@ -2,6 +2,8 @@
 
 import math
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp as scipy_logsumexp
+
+import pmbm
 
 from pmbm.densities import (
     GaussianDensity,
@@ -22,6 +27,7 @@ from pmbm.densities import (
     kalman_predict,
     kalman_update,
     kalman_update_gated,
+    logsumexp,
     moment_match,
     predicted_measurement_loglik,
 )
@@ -586,3 +592,70 @@ class TestStackedKernels:
         }
         with pytest.raises(ConfigurationError, match="one state width"):
             calls[kernel]()
+
+
+class TestLogsumexp:
+    """The package's ``logsumexp`` gives scipy's result bit for bit."""
+
+    @staticmethod
+    def same(a, axis=None):
+        want = scipy_logsumexp(a, axis=axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=axis)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, got, want)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [],
+            [0.5],
+            [-math.inf],
+            [-math.inf, -math.inf, -math.inf],
+            [-math.inf, 1.0, -math.inf],
+            [2.0, 2.0, 2.0],
+            [1.0, 3.0, 3.0, -math.inf],
+            [math.inf, 0.0],
+            [math.inf, -math.inf],
+            [1e3, 1e3 - 1e-9, -1e3],
+            [-1e3, -1e3, -999.5],
+        ],
+    )
+    def test_edge_inputs(self, a):
+        self.same(a)
+        self.same(np.array(a))
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(11)
+        for t in range(2000):
+            n = int(rng.integers(1, 60))
+            a = rng.normal(0.0, (1.0, 30.0, 1e3)[t % 3], n)
+            if t % 4 == 0:
+                a[rng.random(n) < 0.3] = -math.inf
+            if t % 5 == 0:
+                a[rng.integers(n, size=3)] = a.max()
+            self.same(a)
+            self.same(a.tolist())
+
+    def test_random_columns(self):
+        rng = np.random.default_rng(12)
+        for t in range(1000):
+            a = rng.normal(0.0, (1.0, 1e3)[t % 2], (int(rng.integers(1, 6)), int(rng.integers(1, 9))))
+            if t % 3 == 0:
+                a[rng.random(a.shape) < 0.4] = -math.inf
+            if t % 7 == 0:
+                a[:, 0] = -math.inf
+            if t % 11 == 0:
+                a[0, -1] = math.inf
+            if t % 13 == 0:
+                a[-1] = a[0]
+            self.same(a, axis=0)
+        self.same(np.zeros((0, 3)), axis=0)
+        self.same(np.zeros((3, 0)), axis=0)
+
+    def test_package_sums_with_its_own(self):
+        sources = Path(pmbm.__file__).parent.glob("*.py")
+        found = [p.name for p in sources if re.search(r"scipy\.special import[^\n]*logsumexp", p.read_text())]
+        assert found == []

@@ -51,6 +51,7 @@ from pmbm.hypotheses import (
 )
 from pmbm.measmodel import ExtendedTargetModel, PointTargetModel
 from pmbm.oracle import (
+    KEEP_ALL,
     _random_clutter,
     _random_density,
     _random_model,
@@ -426,7 +427,7 @@ class TestUpdateMergedAndComposite:
         the PPP clutter intensity (``_UpdateWorkspace._own_general``)."""
         rng = np.random.default_rng(3)
         region = Region((-5.0, -5.0), (15.0, 15.0))
-        cfg = FilterConfig(clutter_regime=regime, exhaustive_limit=10**9, gate=1e12)
+        cfg = replace(KEEP_ALL, clutter_regime=regime, exhaustive_limit=10**9, gate=1e12)
         for t in range(30):
             d = _random_density(rng, int(rng.integers(0, 3)))
             model = _random_model(rng, "general")
@@ -563,7 +564,8 @@ class TestGateTable:
         model = PointTargetModel(scalar_sensor())
         clutter = nb_line_clutter()
         cfg = FilterConfig(clutter_regime="arbitrary", gate=1e12, exhaustive_limit=4)
-        out = checked_update(d, self.SCAN, model, clutter, cfg)
+        exact = replace(KEEP_ALL, clutter_regime="arbitrary", gate=1e12, exhaustive_limit=4)
+        out = checked_update(d, self.SCAN, model, clutter, exact)
         assert calls == []
         want = brute_force_update(d, self.SCAN, model, [clutter], None)
         ok, lines = compare_signatures(density_signature(out, d, 1), want)
@@ -796,14 +798,14 @@ class TestAssociationRouting:
         monkeypatch.setattr(filtering, "AssociationProblem", captured)
         labelings = _call_counter(monkeypatch, "_enumerate_labelings")
         gibbs = _gibbs_counter(monkeypatch)
-        cfg = FilterConfig(clutter_regime=regime, exhaustive_limit=10**6)
+        cfg = replace(KEEP_ALL, clutter_regime=regime, exhaustive_limit=10**6)
         d = multi_track_density([0.0, 10.0])
         out = checked_update(d, self.SCAN, PointTargetModel(scalar_sensor()), clutter, cfg)
         assert labelings == [] and gibbs == []
         (p,) = problems
         vectors, log_w = enumerate_associations(p)
         assert len(out.globals_) == len(vectors) > 1
-        assert_allclose(np.exp(global_weights(out)), np.exp(log_w), rtol=1e-12)
+        assert_allclose(np.sort(np.exp(global_weights(out))), np.sort(np.exp(log_w)), rtol=1e-12)
 
     def test_two_source_point_update_enumerates_labelings(self, monkeypatch):
         labelings = _call_counter(monkeypatch, "_enumerate_labelings")
@@ -812,7 +814,7 @@ class TestAssociationRouting:
         model = PointTargetModel(scalar_sensor())
         d = multi_track_density([0.0])
         Z = np.array([[0.4], [30.5], [-29.0]])
-        cfg = FilterConfig(clutter_regime="composite", gate=1e12, exhaustive_limit=10**6)
+        cfg = replace(KEEP_ALL, clutter_regime="composite", gate=1e12, exhaustive_limit=10**6)
         out = checked_update(d, Z, model, clutter, cfg)
         assert len(labelings) == 1 and gibbs == []
         want = brute_force_update(d, Z, model, list(clutter.sources), clutter.ppp)
@@ -881,6 +883,11 @@ class TestAssociationRouting:
 
 
 class TestReduce:
+    def test_empty_hypothesis_set_refused(self):
+        d = replace(two_global_posterior(), globals_=[])
+        with pytest.raises(ConfigurationError, match="cannot reduce an empty hypothesis set"):
+            reduce(d, FilterConfig())
+
     def test_identity_when_thresholds_loose(self):
         d = two_global_posterior()
         cfg = FilterConfig(mbm_prune=1e-300, ppp_prune=1e-300, bern_prune=1e-300)
@@ -1003,6 +1010,100 @@ class TestReduce:
         out = reduce(d, FilterConfig(ppp_prune=1e-5))
         assert len(out.ppp) == 1
         assert_allclose(out.ppp.comps[0].mean, [0.0])
+
+
+def _twinned(d):
+    """``d`` (of at least one tree) with every local hypothesis repeated and
+    every global hypothesis doubled onto the repeats at the same weight, so
+    that a predicted hypothesis and its twin give associations of tied
+    weights."""
+    trees = [BernoulliTree(t.hyps + t.hyps, t.origin) for t in d.trees]
+    globals_ = []
+    for g in d.globals_:
+        lw = g.log_w - math.log(2.0)
+        twin = tuple(a + len(t.hyps) for a, t in zip(g.berns, d.trees))
+        globals_ += [GlobalHypothesis(lw, g.clutter, g.berns), GlobalHypothesis(lw, g.clutter, twin)]
+    return replace(d, trees=trees, globals_=globals_)
+
+
+def _reference_cut(sig, cfg):
+    """The cut as ``reduce`` applied it to the exact posterior's keyed map
+    (in emission order): a stable sort by descending weight, the
+    ``mbm_prune`` threshold, the best one if none passes, the
+    ``max_global_hyps`` cap and renormalization over the kept set."""
+    order = sorted(sig, key=lambda key: -sig[key].log_w)
+    keep = [key for key in order if sig[key].log_w >= math.log(cfg.mbm_prune)] or order[:1]
+    keep = keep[: cfg.max_global_hyps]
+    norm = logsumexp([sig[key].log_w for key in keep])
+    return {key: replace(sig[key], log_w=sig[key].log_w - norm) for key in keep}
+
+
+def _selected(d):
+    """Each global hypothesis's weight, keyed by the local hypotheses it
+    selects (clutter trees, then Bernoulli trees by origin), whatever their
+    order within their trees."""
+
+    def hyp(h):
+        dens = getattr(h, "density", None)
+        moments = None if dens is None else (dens.mean.tobytes(), dens.cov.tobytes())
+        return (h.log_w, getattr(h, "r", None), moments, tuple(sorted(h.pairs)), h.parent)
+
+    return {
+        (
+            tuple(hyp(t.hyps[a]) for t, a in zip(d.clutter_trees, g.clutter)),
+            tuple((t.origin, hyp(t.hyps[a])) for t, a in zip(d.trees, g.berns)),
+        ): g.log_w
+        for g in d.globals_
+    }
+
+
+class TestGlobalCut:
+    """``update`` builds only the global hypotheses the cut keeps: those
+    that ``reduce``'s rule keeps of the exact posterior."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        model_kind=st.sampled_from(["point", "general"]),
+        regime=st.sampled_from(["arbitrary", "composite", "ppp-merged"]),
+        prune=st.sampled_from([1e-300, 1e-4, 0.05, 0.3, 1.0]) | st.floats(1e-12, 1.0),
+        cap=st.just(1) | st.integers(1, 40),
+        tie=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_update_holds_the_cut_of_the_exact_posterior(self, seed, model_kind, regime, prune, cap, tie):
+        rng = np.random.default_rng(seed)
+        region = Region((-5.0, -5.0), (15.0, 15.0))
+        d = _random_density(rng, int(rng.integers(0, 3)))
+        if tie and d.trees:
+            d = _twinned(d)
+        model = _random_model(rng, model_kind)
+        kind = {"arbitrary": ("ppp", "nb", "composite")[int(rng.integers(3))], "composite": "composite"}
+        clutter = _random_clutter(rng, kind.get(regime, "ppp"), region)
+        Z = _random_scan(rng, d, int(rng.integers(0, 4)), region)
+        exact = replace(KEEP_ALL, clutter_regime=regime, exhaustive_limit=10**9, gate=1e12)
+        cfg = replace(exact, mbm_prune=prune, max_global_hyps=cap)
+        full = checked_update(d, Z, model, clutter, exact)
+        out = checked_update(d, Z, model, clutter, cfg)
+        n_src = len(out.clutter_trees)
+        want = _reference_cut(density_signature(full, d, n_src), cfg)
+        ok, lines = compare_signatures(density_signature(out, d, n_src), want, tol_w=1e-12, tol=1e-12)
+        assert ok, lines[:5]
+        assert len(out.globals_) == len(want)
+        reduced, reduced_full = _selected(reduce(out, cfg)), _selected(reduce(full, cfg))
+        assert reduced.keys() == reduced_full.keys()
+        for key, lw in reduced.items():
+            assert abs(lw - reduced_full[key]) <= 1e-12
+
+    def test_tied_weights_keep_the_first_in_association_order(self):
+        """Under a cap of 1, of two tied associations the one whose predicted
+        hypothesis comes first is kept, as ``reduce`` kept it."""
+        d = _twinned(multi_track_density([0.0]))
+        model = PointTargetModel(scalar_sensor())
+        out = checked_update(d, np.array([[0.5]]), model, nb_line_clutter(), FilterConfig(max_global_hyps=1))
+        full = checked_update(d, np.array([[0.5]]), model, nb_line_clutter(), KEEP_ALL)
+        assert full.globals_[0].log_w == full.globals_[1].log_w
+        assert out.globals_[0].log_w == 0.0
+        assert out.trees[0].hyps[out.globals_[0].berns[0]].parent == 0
 
 
 class TestProjectToPmb:

@@ -48,7 +48,7 @@ from pmbm.harness import (
 )
 from pmbm.hypotheses import validate_global
 from pmbm.measmodel import PointTargetModel
-from pmbm.oracle import brute_force_update, compare_signatures, density_signature
+from pmbm.oracle import KEEP_ALL, brute_force_update, compare_signatures, density_signature
 
 # Small but otherwise faithful variant of the default scenario.
 TINY = ScenarioConfig(steps=6, runs=2, max_global_hyps=20, clutter_mean=3.0, clutter_dispersion=4.0)
@@ -618,7 +618,9 @@ def oracle_checked_update(d, Z, model, clutter, cfg, seed=0):
     against the brute-force joint enumeration."""
     out = checked_update(d, Z, model, clutter, cfg, seed=seed)
     if len(d.trees) <= 3 and len(Z) <= 3:
-        exact = replace(cfg, gate=1e12, exhaustive_limit=10**9)
+        exact = replace(
+            KEEP_ALL, mode=cfg.mode, clutter_regime=cfg.clutter_regime, gate=1e12, exhaustive_limit=10**9
+        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             post = update(d, Z, model, clutter, exact)
