@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .densities import GaussianDensity, LinearGaussianSensor, as_scan, gaussian_logpdf, logsumexp
 from .errors import ConfigurationError, SizeLimitError
@@ -75,7 +74,7 @@ class PoissonCardinality:
             return NEG_INF
         if self.mean == 0.0:
             return 0.0 if m == 0 else NEG_INF
-        return m * math.log(self.mean) - self.mean - gammaln(m + 1)
+        return m * math.log(self.mean) - self.mean - math.lgamma(m + 1)
 
     def variance(self) -> float:
         return self.mean
@@ -110,9 +109,9 @@ class NegBinomialCardinality:
         if self.p == 1.0:
             return 0.0 if m == 0 else NEG_INF
         return (
-            gammaln(self.r + m)
-            - gammaln(self.r)
-            - gammaln(m + 1)
+            math.lgamma(self.r + m)
+            - math.lgamma(self.r)
+            - math.lgamma(m + 1)
             + self.r * math.log(self.p)
             + m * math.log(1.0 - self.p)
         )
@@ -183,7 +182,7 @@ class IidClusterClutter:
 
     def _log_count(self, x: int) -> float:
         """log c of x points in the region: log(x!) + log ρ(x) + x log(1/|A|)."""
-        return float(gammaln(x + 1)) + self.cardinality.log_pmf(x) - x * math.log(self.region.area)
+        return math.lgamma(x + 1) + self.cardinality.log_pmf(x) - x * math.log(self.region.area)
 
     def log_density(self, Z) -> float:
         inside = self.region.contains(Z)

@@ -8,26 +8,28 @@ failed check raises :class:`~pmbm.errors.ConfigurationError`.  Densities this mo
 computes (predictions, posteriors, moment matches) skip that path: each
 new covariance gets one Cholesky check, and an internal state that is not
 positive definite raises :class:`~pmbm.errors.NumericalError`, as does a
-singular innovation covariance.  Updates use the Joseph form and
-re-symmetrize.
+singular innovation covariance; no ``numpy.linalg.LinAlgError`` leaves the
+module.  Updates use the Joseph form and re-symmetrize.
 
 Stacks: ``kalman_predict``, ``ellipsoidal_gate`` and
 ``predicted_measurement_loglik`` take one density or a sequence and return
 one row per density; ``kalman_update_gated`` updates the pairs a gate
-marks.  A sequence is one stack, computed with batched array operations and
-one LAPACK factor or solve per density, so each row equals what the kernel
-gives for that density alone.
+marks.  A sequence is one stack, computed with batched array operations:
+numpy's LAPACK wrappers factor or solve a whole stack in one call, which
+runs the routine of a single matrix on each, so each row equals what the
+kernel gives for that density alone.
 
 Memo contract: a density is immutable (its arrays are read-only), so the
 innovation stack of a sequence against a sensor (H m, the Cholesky factor
-of S = H P H' + R and log|S|) is built once, with S factored once per
-density, and kept on each density.  The gate, the likelihoods and every
+of S = H P H' + R and log|S|) is built once, with the stack's S factored
+in one call, and kept on each density.  The gate, the likelihoods and every
 update that follow reuse it while the same sensor object asks and the
 densities they ask for lie in one stack; the distances to the last scan are
 kept with it, so a scan's gate and likelihoods solve once.  A row's gain and
 posterior covariance are built on its first update, for the rows asked
 only.  The density's own Cholesky factor, used by ``gaussian_logpdf``, is
-kept the same way, or from validation.
+kept the same way, or from validation; a sensor keeps the factor of R from
+its validation, and ``measmodel.extended_set_density`` reads it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
 
@@ -102,18 +103,27 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
 
 
 def _factor(a: np.ndarray):
-    """Lower Cholesky factor of a (as ``cho_factor(a, lower=True)`` returns
-    it) and log|a|, or None when a is not positive definite or not finite."""
-    c, info = dpotrf(a, lower=1, clean=0)
-    if info != 0:
+    """Lower Cholesky factor of a, one (d, d) matrix or a stack (N, d, d),
+    by numpy's ``cholesky`` (LAPACK ``potrf``, upper triangle zeroed), and
+    log|a|, a float or (N,); None when a matrix is not positive definite or
+    not finite."""
+    try:
+        c = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         return None
-    log_det = 2.0 * float(np.sum(np.log(np.diag(c))))
-    return (c, log_det) if math.isfinite(log_det) else None
+    log_det = 2.0 * np.log(np.diagonal(c, axis1=-2, axis2=-1)).sum(-1)
+    if c.ndim == 2:
+        return (c, float(log_det)) if math.isfinite(log_det) else None
+    return (c, log_det) if np.isfinite(log_det).all() else None
 
 
 def _solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a⁻¹ b from the lower factor c of a (what ``cho_solve`` runs)."""
-    return dpotrs(c, b, lower=1)[0]
+    """a⁻¹ b from the lower factor c of a, as two triangular solves by
+    numpy's ``solve`` (LAPACK ``gesv``; for a diagonal c its arithmetic is
+    that of ``potrs``): one (d, d) c and a (d, k) or (d,) b, or stacks
+    (N, d, d) and (N, d, k).  ``_factor``'s c has a positive diagonal, so
+    the solves never meet a zero pivot."""
+    return np.linalg.solve(np.swapaxes(c, -1, -2), np.linalg.solve(c, b))
 
 
 @dataclass(frozen=True)
@@ -142,15 +152,17 @@ class GaussianDensity:
         object.__setattr__(self, "_own", own)
 
     @classmethod
-    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray, own=None) -> "GaussianDensity":
         """A density the package computed: no copy and no validation.  The
         arrays are marked read-only; the caller answers for their shape and
-        for checking cov."""
+        for checking cov, and for ``own``, cov's factor if it has one."""
         mean.setflags(write=False)
         cov.setflags(write=False)
         d = object.__new__(cls)
         object.__setattr__(d, "mean", mean)
         object.__setattr__(d, "cov", cov)
+        if own is not None:
+            object.__setattr__(d, "_own", own)
         return d
 
     @property
@@ -171,11 +183,7 @@ def _own_factor(d: GaussianDensity):
 
 def _check_pd(cov: np.ndarray, what: str) -> None:
     """The one Cholesky check each internal covariance of ``cov``, one
-    (d, d) or a stack (N, d, d), gets."""
-    if cov.ndim == 2:
-        if dpotrf(cov, lower=1, clean=0)[1] != 0:
-            raise NumericalError(f"{what} is not positive definite")
-        return
+    (d, d) or a stack (N, d, d), gets: one batched call."""
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -217,18 +225,22 @@ class LinearGaussianSensor:
     R: np.ndarray
     pd: float
 
+    _noise = None  # memo slot (not a field): the (factor, log-determinant) of R
+
     def __post_init__(self):
         H = _as_readonly(self.H)
         if H.ndim != 2:
             raise ConfigurationError("H must be a matrix")
         R = _as_readonly(self.R, (H.shape[0], H.shape[0]))
         _check_symmetric(R, "measurement noise")
-        if _factor(R) is None:
+        noise = _factor(R)
+        if noise is None:
             raise ConfigurationError("measurement noise is not positive definite")
         if not 0.0 <= self.pd <= 1.0:
             raise ConfigurationError("detection probability must lie in [0, 1]")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "R", R)
+        object.__setattr__(self, "_noise", noise)
 
     @property
     def meas_dim(self) -> int:
@@ -262,8 +274,8 @@ def kalman_predict(dens, motion: LinearGaussianMotion):
 @dataclass(slots=True)
 class _Innovations:
     """The innovations of a stack of N densities against one sensor: H m
-    (N, dz), the lower Cholesky factor of each S = H P H' + R (as ``dpotrf``
-    returns it) and log|S| (N,).  A row's gain K and posterior covariance P⁺
+    (N, dz), the lower Cholesky factors of S = H P H' + R (N, dz, dz) and
+    log|S| (N,).  A row's gain K and posterior covariance P⁺
     are built on its first measurement update; ``built`` marks those rows.
     ``maha`` (N, m) holds the squared Mahalanobis innovation distances of
     the rows of the last scan measured, a copy of which ``scan`` keeps."""
@@ -272,7 +284,7 @@ class _Innovations:
     means: np.ndarray
     covs: np.ndarray
     Hm: np.ndarray
-    chol: list
+    chol: np.ndarray
     log_det: np.ndarray
     K: np.ndarray
     post_cov: np.ndarray
@@ -284,7 +296,8 @@ class _Innovations:
 def _innovations(seq: list, sensor: LinearGaussianSensor) -> tuple[_Innovations, list]:
     """The innovation stack of the densities ``seq`` and each one's row in
     it.  The stack that last covered all of them is reused; otherwise one
-    is built over ``seq``, each S factored once, and kept on each density."""
+    is built over ``seq``, its S factored once in one batched call, and kept
+    on each density."""
     memo = [d._innov for d in seq]
     if all(m is not None and m[0] is memo[0][0] for m in memo) and memo[0][0].sensor is sensor:
         return memo[0][0], [m[1] for m in memo]
@@ -292,15 +305,10 @@ def _innovations(seq: list, sensor: LinearGaussianSensor) -> tuple[_Innovations,
     means, covs = _stack([d.mean for d in seq]), _stack([d.cov for d in seq])
     if H.shape[1] != means.shape[1]:
         raise ConfigurationError("sensor model dimension does not match state")
-    chol = []
-    for S in symmetrize(H @ covs @ H.T + sensor.R):
-        c, info = dpotrf(S, lower=1, clean=0)
-        if info != 0:
-            raise NumericalError("singular innovation covariance")
-        chol.append(c)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(np.stack(chol), axis1=1, axis2=2)), axis=1)
-    if not np.isfinite(log_det).all():
+    factor = _factor(symmetrize(H @ covs @ H.T + sensor.R))
+    if factor is None:
         raise NumericalError("singular innovation covariance")
+    chol, log_det = factor
     n, dx, dz = len(seq), H.shape[1], H.shape[0]
     Hm = (H @ means[:, :, None])[:, :, 0]
     stack = _Innovations(
@@ -314,15 +322,14 @@ def _innovations(seq: list, sensor: LinearGaussianSensor) -> tuple[_Innovations,
 
 def _posterior(stack: _Innovations, rows) -> None:
     """Build the gain K = P H' S⁻¹ and the Joseph-form posterior covariance
-    of each of ``rows`` that lacks them, as one stack with one Cholesky
-    check of the new covariances."""
+    of each of ``rows`` that lacks them, as one stack: one batched solve
+    for the gains and one Cholesky check of the new covariances."""
     todo = sorted({n for n in rows if not stack.built[n]})
     if not todo:
         return
     H, R = stack.sensor.H, stack.sensor.R
-    for n, HP in zip(todo, H @ stack.covs[todo]):
-        stack.K[n] = _solve(stack.chol[n], HP).T
-    K = stack.K[todo]
+    K = np.swapaxes(_solve(stack.chol[todo], H @ stack.covs[todo]), 1, 2)
+    stack.K[todo] = K
     I_KH = np.eye(H.shape[1]) - K @ H
     cov = symmetrize(I_KH @ stack.covs[todo] @ I_KH.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2))
     _check_pd(cov, "posterior covariance")
@@ -368,19 +375,17 @@ def kalman_update_gated(dens, sensor: LinearGaussianSensor, Z: np.ndarray, mask:
 def _scan_pass(dens, sensor: LinearGaussianSensor, Z):
     """Squared Mahalanobis innovation distances (N, m) of the rows of Z for
     the N densities ``dens``, their log|S| (N,) and whether ``dens`` was one
-    density.  The distances take one triangular solve per density of the
-    stack and are kept with it for the next kernel that reads the same Z."""
+    density.  The distances take one batched solve for the stack and are
+    kept with it for the next kernel that reads the same Z."""
     Z = as_scan(Z, sensor.meas_dim)
     seq, one = _densities(dens)
     if not seq:
         return np.zeros((0, Z.shape[0])), np.zeros(0), one
     stack, rows = _innovations(seq, sensor)
     if stack.scan is None or not np.array_equal(stack.scan, Z):
-        nu = Z - stack.Hm[:, None, :]
-        sol = np.empty_like(nu)
-        for n, c in enumerate(stack.chol if Z.shape[0] else ()):
-            sol[n] = _solve(c, nu[n].T).T
-        stack.scan, stack.maha = Z.copy(), np.einsum("nij,nij->ni", nu, sol)
+        nu = (Z - stack.Hm[:, None, :]).swapaxes(1, 2)
+        sol = _solve(stack.chol, nu) if Z.shape[0] else nu
+        stack.scan, stack.maha = Z.copy(), np.einsum("nij,nij->nj", nu, sol)
     return stack.maha[rows], stack.log_det[rows], one
 
 
@@ -400,20 +405,26 @@ def ellipsoidal_gate(dens, sensor: LinearGaussianSensor, Z: np.ndarray, gamma: f
     return maha[0] <= gamma if one else maha <= gamma
 
 
-def gaussian_logpdf(x: np.ndarray, d: GaussianDensity) -> float:
+def gaussian_logpdf(x: np.ndarray, d: GaussianDensity):
+    """log N(x; mean, cov) of one point x (a float), or of each row of an
+    (k, dim) x from one solve (a (k,) array)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != d.mean.shape:
+    if x.ndim > 2 or x.shape[-1:] != d.mean.shape:
         raise ConfigurationError("point dimension does not match density")
     chol, log_det = _own_factor(d)
-    nu = x - d.mean
-    maha = float(nu @ _solve(chol, nu))
-    return -0.5 * (maha + log_det + x.size * _LOG_2PI)
+    nu = (x - d.mean).T
+    sol = _solve(chol, nu)
+    maha = float(nu @ sol) if x.ndim == 1 else np.einsum("ij,ij->j", nu, sol)
+    return -0.5 * (maha + log_det + d.dim * _LOG_2PI)
 
 
 def moment_match(log_weights: np.ndarray, comps: list[GaussianDensity]) -> GaussianDensity:
-    """Collapse a normalized log-weighted Gaussian mixture to one Gaussian."""
+    """Collapse a normalized log-weighted Gaussian mixture to one Gaussian;
+    a mixture of one component is that component, already checked."""
     if len(comps) == 0:
         raise ConfigurationError("cannot moment-match an empty mixture")
+    if len(comps) == 1:
+        return comps[0]
     w = np.exp(np.asarray(log_weights, dtype=float))
     w = w / np.sum(w)
     mean = np.zeros(comps[0].dim)

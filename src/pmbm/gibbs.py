@@ -54,7 +54,7 @@ from .errors import ConfigurationError, NumericalError, SizeLimitError
 
 NEG_INF = float("-inf")
 _ENUM_GUARD = 1_000_000
-_WINDOW = 128  # rows of uniforms whose leaves are listed at a time, bounding memory
+_WINDOW = 128  # rows of uniforms drawn, and whose leaves are listed, at a time: bounds memory
 
 
 @dataclass
@@ -210,16 +210,17 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     """Systematic-scan Gibbs sampling of association vectors.
 
     Starts from ``_start(p)`` (no association when that is None), sweeps
-    coordinates q = 1..m for ``sweeps`` rounds over one block of uniforms
-    (position r·m + q) and records the state after every sweep.  A draw is
+    coordinates q = 1..m for ``sweeps`` rounds over a (sweeps, m) block of
+    uniforms (position r·m + q), drawn from ``rng`` a window of ``_WINDOW``
+    rows at a time, and records the state after every sweep.  A draw is
     ``bisect_right(cum, u * total)`` on the output of ``_candidates``, kept
     in ``p.cache.conditionals`` under what it depends on: row q, the tree
     count and the row's candidates, which of its trees the others take, and
     their clutter count or clutter set.
     Once every coordinate has drawn its value since the state last changed,
     the chain jumps between the draws that leave the state, listed once per
-    window of rows, and credits the sweeps that end in between: the output
-    of every draw at a cost per leave.  Returns ``(gamma, log_w, visits)``
+    window, and credits the sweeps that end in between: the output of every
+    draw at a cost per leave.  Returns ``(gamma, log_w, visits)``
     per unique recorded vector in first-visit order: its unnormalized log
     weight and how many sweeps ended on it.
     """
@@ -231,8 +232,9 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
         return []
     if m == 0:
         return [((), assoc_log_weight(p, ()), sweeps)]
-    block = rng.random((sweeps, m))
-    us, end = block.ravel().tolist(), sweeps * m
+    # Windows of rows continue one stream: together they are one draw.
+    windows = (rng.random((min(_WINDOW, sweeps - r), m)) for r in range(0, sweeps, _WINDOW))
+    end, base, wend = sweeps * m, 0, 0  # the window holds positions base to wend - 1
     # One bit per clutter coordinate (bit j) and per taken tree (bit m + v).
     allc = (1 << m) - 1
     state = sum(1 << (m + v if v else j) for j, v in enumerate(gamma) if v <= n)
@@ -249,6 +251,9 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
     leaves = {}  # certified state -> [its conditionals, its leaves in a window of rows]
     recorded, pos = Counter(), 0
     while pos < end:
+        if pos == wend:
+            block = next(windows)
+            us, base, wend = block.ravel().tolist(), wend, wend + block.size
         q = pos % m
         old = gamma[q]
         if old <= n:
@@ -267,7 +272,7 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
             cum = list(accumulate(weights))
             entry = memo[key] = (vals + vals[-1:], cum, math.fsum(weights))
         vals, cum, total = drawn[q] = entry
-        new = gamma[q] = vals[bisect_right(cum, us[pos] * total)]
+        new = gamma[q] = vals[bisect_right(cum, us[pos - base] * total)]
         if new <= n:
             state ^= 1 << (m + new if new else q)
         pos += 1
@@ -279,29 +284,35 @@ def run_gibbs(p: AssociationProblem, sweeps: int, rng):
             jump = leaves[tuple(gamma)] = [tuple(drawn), [-1]]
         if jump is not None:
             found = jump[1]
-            while pos > found[-1] or found[bisect_left(found, pos)] == found[-1] < end:
-                found = jump[1] = _leave_positions(block, max(pos, found[-1]) // m, jump[0], gamma)
+            if found[-1] != wend:
+                found = jump[1] = _leave_positions(block, base, jump[0], gamma)
             nxt = found[bisect_left(found, pos)]
+            while nxt == wend < end:  # no leave in the rest of the window
+                block = next(windows)
+                us, base, wend = block.ravel().tolist(), wend, wend + block.size
+                found = jump[1] = _leave_positions(block, base, jump[0], gamma)
+                nxt = found[0]
             if nxt // m > pos // m:
                 recorded[tuple(gamma)] += nxt // m - pos // m
             pos = nxt
     return [(g, assoc_log_weight(p, g), visits) for g, visits in recorded.items()]
 
 
-def _leave_positions(block, r0: int, drawn, gamma) -> list:
-    """Positions r·m + q in rows r0 to r0 + ``_WINDOW`` whose draw leaves
-    ``gamma[q]``, then the window's end.  ``drawn[q]``, coordinate q's
-    conditional, keeps value k for u·total in [cum[k−1], cum[k]), the last
-    value for u·total ≥ cum[L−2], which the appended slot returns too."""
+def _leave_positions(block, base: int, drawn, gamma) -> list:
+    """Positions r·m + q in the window ``block`` of uniforms, which starts
+    at position ``base``, whose draw leaves ``gamma[q]``, then the window's
+    end.  ``drawn[q]``, coordinate q's conditional, keeps value k for
+    u·total in [cum[k−1], cum[k]), the last value for u·total ≥ cum[L−2],
+    which the appended slot returns too."""
     lo, hi, totals = [], [], []
     for (vals, cum, total), v in zip(drawn, gamma):
         k = vals.index(v)
         lo.append(cum[k - 1] if k else NEG_INF)
         hi.append(cum[k] if k < len(cum) - 1 else math.inf)
         totals.append(total)
-    x = block[r0 : r0 + _WINDOW] * totals
-    found = np.flatnonzero((x < lo) | (x >= hi)) + r0 * len(gamma)
-    return found.tolist() + [min(r0 + _WINDOW, len(block)) * len(gamma)]
+    x = block * totals
+    found = np.flatnonzero((x < lo) | (x >= hi)) + base
+    return found.tolist() + [base + block.size]
 
 
 def candidate_product(p: AssociationProblem):

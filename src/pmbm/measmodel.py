@@ -109,8 +109,9 @@ def extended_set_density(model: ExtendedTargetModel, Z: np.ndarray, x) -> float:
     if model.sensor.pd == 0.0:
         return NEG_INF
     value = model._log_count_term(Z.shape[0])
-    mean = np.asarray(x, dtype=float)
-    meas_density = GaussianDensity._trusted(model.sensor.H @ mean, model.sensor.R)
-    for z in Z:
-        value += gaussian_logpdf(z, meas_density)
+    sensor = model.sensor
+    mean = sensor.H @ np.asarray(x, dtype=float)
+    meas_density = GaussianDensity._trusted(mean, sensor.R, sensor._noise)
+    for term in gaussian_logpdf(Z, meas_density).tolist():
+        value += term
     return value

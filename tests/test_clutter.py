@@ -109,6 +109,33 @@ class TestIidCluster:
         assert abs(total - 1.0) < 0.01
 
 
+class TestCountTerms:
+    """Count terms use ``math.lgamma``; scipy's ``gammaln`` is the reference."""
+
+    @pytest.mark.parametrize(
+        "card",
+        [PoissonCardinality(3.0), NegBinomialCardinality(0.3, 0.2), nb_from_mean_dispersion(10.0, 20.0)],
+        ids=["poisson", "nb-small-r", "nb-paper"],
+    )
+    def test_count_table_matches_gammaln(self, card, region, rng):
+        from scipy.special import gammaln
+
+        clutter = IidClusterClutter(card, region)
+        table, _ = clutter.count_table(region.sample(rng, 60))
+        log_area = math.log(region.area)
+        for x, got in enumerate(table):
+            if isinstance(card, PoissonCardinality):
+                terms = [x * math.log(card.mean), -card.mean, -gammaln(x + 1)]
+            else:
+                terms = [gammaln(card.r + x), -gammaln(card.r), -gammaln(x + 1)]
+                terms += [card.r * math.log(card.p), x * math.log(1.0 - card.p)]
+            terms += [gammaln(x + 1), -x * log_area]
+            # math.lgamma is within 4 ulps of gammaln on these arguments (3
+            # near small integers such as 3); allow 8 of each term.
+            assert abs(got - math.fsum(terms)) <= 8 * sum(np.spacing(abs(t)) for t in terms)
+            assert abs(math.lgamma(x + 1) - gammaln(x + 1)) <= 8 * np.spacing(gammaln(x + 1))
+
+
 class TestPoissonClutter:
     def test_zero_rate_allows_only_empty(self, region):
         c = PoissonClutter(0.0, region)

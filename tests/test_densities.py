@@ -16,6 +16,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 import pmbm
 
+from pmbm import densities
 from pmbm.densities import (
     GaussianDensity,
     GaussianMixture,
@@ -328,26 +329,28 @@ def _random_case(rng):
 
 
 def _ref_innovation(d, sensor):
+    """S of one density factored afresh, one matrix at a time, with the
+    package's primitives."""
     HPH = sensor.H @ d.cov @ sensor.H.T + sensor.R
-    chol = cho_factor(0.5 * (HPH + HPH.T), lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    return chol, log_det
+    return densities._factor(0.5 * (HPH + HPH.T))
 
 
 def _ref_maha(d, sensor, Z):
     chol, _ = _ref_innovation(d, sensor)
-    nu = Z - sensor.H @ d.mean
-    return np.einsum("ij,ij->i", nu, cho_solve(chol, nu.T).T)
+    nu = (Z - sensor.H @ d.mean).T
+    return np.einsum("ij,ij->j", nu, densities._solve(chol, nu))
 
 
 def _ref_update(d, sensor, z):
     chol, log_det = _ref_innovation(d, sensor)
     nu = z - sensor.H @ d.mean
-    K = cho_solve(chol, sensor.H @ d.cov).T
+    # The kernel keeps its gains C-contiguous; a matrix product can sum in
+    # another order on another layout.
+    K = np.ascontiguousarray(densities._solve(chol, sensor.H @ d.cov).T)
     mean = d.mean + K @ nu
     I_KH = np.eye(d.dim) - K @ sensor.H
     J = I_KH @ d.cov @ I_KH.T + K @ sensor.R @ K.T
-    maha = float(nu @ cho_solve(chol, nu))
+    maha = float(nu @ densities._solve(chol, nu))
     return mean, 0.5 * (J + J.T), -0.5 * (maha + log_det + z.size * LOG_2PI)
 
 
@@ -358,7 +361,7 @@ def _ref_loglik(d, sensor, Z):
 
 class TestFactorOnceKernel:
     """The memoized innovation gives the same bits as factoring S afresh
-    with ``cho_factor``/``cho_solve`` on every call."""
+    with the package's primitives on every call."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bit_identical_to_reference(self, seed):
@@ -375,6 +378,29 @@ class TestFactorOnceKernel:
                 assert np.array_equal(post.mean, mean)
                 assert np.array_equal(post.cov, cov)
                 assert log_lik == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_primitives_agree_with_scipy(self, seed):
+        # numpy's potrf is the routine scipy's cho_factor runs, so the factor
+        # is equal bit for bit.  The solves run gesv on the factor, not potrs:
+        # both are backward stable, so they differ by at most a small
+        # multiple of eps times the condition number of S.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            d, sensor, Z = _random_case(rng)
+            HPH = sensor.H @ d.cov @ sensor.H.T + sensor.R
+            S = 0.5 * (HPH + HPH.T)
+            chol, log_det = densities._factor(S)
+            ref = cho_factor(S, lower=True)
+            assert np.array_equal(chol, np.tril(ref[0]))
+            tol = 16.0 * S.shape[0] * eps * np.linalg.cond(S)
+            for b in (Z.T, sensor.H @ d.cov):
+                want = cho_solve(ref, b)
+                got = densities._solve(chol, b)
+                assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+            want = 2.0 * np.sum(np.log(np.diag(ref[0])))
+            assert abs(log_det - want) <= 4.0 * eps * max(1.0, abs(want))
 
     def test_memo_follows_the_sensor(self):
         rng = np.random.default_rng(7)
@@ -531,19 +557,21 @@ class TestStackedKernels:
         assert means.shape == (0, 4) and covs.shape == (0, 4, 4)
 
     def test_each_innovation_factored_once(self, monkeypatch):
-        from pmbm import densities
-
         rng = np.random.default_rng(5)
         dens, sensor, Z = _stack_case(rng, 5, 6)
-        calls = []
-        real = densities.dpotrf
-        monkeypatch.setattr(densities, "dpotrf", lambda a, **kw: calls.append(1) or real(a, **kw))
+        calls, real = [], densities._factor
+
+        def counted(a):
+            calls.append(a.size // a.shape[-1] ** 2)  # matrices in a
+            return real(a)
+
+        monkeypatch.setattr(densities, "_factor", counted)
         mask = ellipsoidal_gate(dens, sensor, Z, 50.0)
         predicted_measurement_loglik(dens, sensor, Z)
         kalman_update_gated(dens, sensor, Z, mask)
         predicted_measurement_loglik(dens[2:], sensor, Z)
         kalman_update(dens[3], sensor, Z[0])
-        assert len(calls) == 5
+        assert sum(calls) == 5
 
     def test_distances_follow_the_scan(self):
         # The stack keeps its distances to the last scan; another scan, or

@@ -4,6 +4,7 @@ systematic-scan Gibbs sampler."""
 import copy
 import itertools
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -542,14 +543,16 @@ def _reference_run_gibbs(p, sweeps, rng):
 
 
 class _Uniforms:
-    """A generator stand-in whose one block of uniforms is given."""
+    """A generator stand-in whose block of uniforms is given: each call
+    serves the next rows of it."""
 
     def __init__(self, block):
-        self.block = np.asarray(block, dtype=float)
+        self.block, self.row = np.asarray(block, dtype=float), 0
 
     def random(self, shape):
-        assert shape == self.block.shape
-        return self.block.copy()
+        rows, self.row = self.block[self.row : self.row + shape[0]], self.row + shape[0]
+        assert rows.shape == shape
+        return rows.copy()
 
 
 def _counting_draws(monkeypatch):
@@ -575,6 +578,20 @@ class TestLeaveJumps:
             return
         assert run_gibbs(p, sweeps, np.random.default_rng(seed)) == want
 
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_equals_per_draw_reference_across_window_ends(self, window, monkeypatch):
+        # Windows of a few rows put a window end inside most jumps: a jump
+        # that finds no leave before one lists the next window's.
+        monkeypatch.setattr(gibbs, "_WINDOW", window)
+        for n, m, seed in itertools.product(range(1, 4), range(2, 6), range(10)):
+            p = small_problem(n=n, m=m, seed=seed)
+            for rng_seed in range(2):
+                try:
+                    want = _reference_run_gibbs(p, 80, np.random.default_rng(rng_seed))
+                except NumericalError:
+                    continue
+                assert run_gibbs(p, 80, np.random.default_rng(rng_seed)) == want
+
     def test_chain_that_flips_every_few_sweeps(self, monkeypatch):
         # Each row keeps its value with probability 0.86 or more, so the
         # state changes every few sweeps (about 30 times in 300) and the
@@ -596,6 +613,29 @@ class TestLeaveJumps:
         assert 1 < len(listed) <= len(got) * windows < sum(c for _, _, c in got) // 2
         assert windows > 1 and max(len(found) for found in listed) <= gibbs._WINDOW * 3 + 1
         assert got == _reference_run_gibbs(p, 300, np.random.default_rng(3))
+
+    def test_long_chain_draws_its_uniforms_a_window_at_a_time(self):
+        # Each row keeps its tree with probability about 1 - 1e-4, so the
+        # chain spends almost every one of its 200 000 sweeps certified.
+        # Drawing the whole (sweeps, m) block at once took about 24 MB here.
+        region = Region((0.0,), (10.0,))
+        clutter = IidClusterClutter(PoissonCardinality(3.0), region)
+        table = [[6.0, NEG_INF, NEG_INF], [NEG_INF, 6.0, NEG_INF], [NEG_INF, NEG_INF, 6.0]]
+        p = make_problem(table, [-4.0, -4.0, -4.0], clutter, [[1.0], [4.0], [7.0]])
+        sweeps, rng = 200_000, np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            got = run_gibbs(p, sweeps, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert sum(c for _, _, c in got) == sweeps
+        # The windows continue one stream: the generator ends where one draw
+        # of the whole block leaves it.
+        whole = np.random.default_rng(5)
+        whole.random((sweeps, p.m))
+        assert rng.random() == whole.random()
 
     def test_last_value_drawn_through_the_duplicate_slot(self, monkeypatch):
         # Row 0's conditional weighs 1, 1e-16 and 1e-16: the cumulative

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from pmbm.errors import ConfigurationError
-from pmbm.gospa import GospaConfig, GospaResult, gospa
+from pmbm.gospa import GospaConfig, GospaResult, gospa, linear_assignment
 
 CFG = GospaConfig(order=2.0, cutoff=10.0, alpha=2.0)
 
@@ -151,3 +153,44 @@ class TestMetricProperties:
             dxy = gospa(X, Y, CFG).total
             dyz = gospa(Y, Z, CFG).total
             assert dxz <= dxy + dyz + 1e-9
+
+
+def _brute_force_total(cost):
+    """Least total of min(n, m) pairs over every assignment."""
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    n, m = cost.shape
+    return min(sum(cost[i, j] for i, j in enumerate(cols)) for cols in itertools.permutations(range(m), n))
+
+
+def _costs(kind, rng, n, m):
+    if kind == "uniform":
+        return rng.uniform(0.0, 100.0, size=(n, m))
+    if kind == "ties":
+        return rng.integers(0, 3, size=(n, m)).astype(float)
+    if kind == "all-equal":
+        return np.full((n, m), 7.0)
+    # GOSPA's costs min(d, c)^p with most pairs beyond the cutoff.
+    return np.minimum(rng.uniform(0.0, 15.0, size=(n, m)), CFG.cutoff) ** CFG.order
+
+
+class TestLinearAssignment:
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "all-equal", "saturated"])
+    def test_optimal_against_brute_force_and_scipy(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for n, m in itertools.product(range(1, 7), repeat=2):
+            for _ in range(3):
+                cost = _costs(kind, rng, n, m)
+                pairs = linear_assignment(cost)
+                rows, cols = zip(*pairs)
+                assert len(pairs) == min(n, m)
+                assert list(rows) == sorted(set(rows)) and len(set(cols)) == len(cols)
+                total = sum(cost[i, j] for i, j in pairs)
+                assert total == pytest.approx(_brute_force_total(cost), rel=1e-12, abs=1e-12)
+                r, c = linear_sum_assignment(cost)
+                assert total == pytest.approx(cost[r, c].sum(), rel=1e-12, abs=1e-12)
+                # The same method with the same tie-breaking: the same pairs.
+                assert pairs == list(zip(r.tolist(), c.tolist()))
+
+    def test_empty_side(self):
+        assert linear_assignment(np.zeros((0, 3))) == linear_assignment(np.zeros((3, 0))) == []
